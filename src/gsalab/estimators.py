@@ -58,8 +58,8 @@ def _mc_over_body(body, samples: int, seed: int, weight) -> Estimate:
     """Mean of 1_body(x) * weight(x) over i.i.d. standard Gaussian points.
 
     weight maps a (k, n) block to k per-sample values; membership zeroes the
-    rest.  Chunk streams are keyed by (seed, chunk), so partial sums are
-    stable prefixes of longer runs.
+    rest.  Chunk streams are keyed by (seed, DOMAIN_POINTS, chunk), so
+    partial sums are stable prefixes of longer runs.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2 for a standard error")
@@ -133,6 +133,10 @@ def estimate_gsa_facets(K: HalfspacePolytope, samples_per_facet: int, seed: int)
     are built as y = g - (g.v_i) v_i + b_i v_i from ambient Gaussians g,
     avoiding any explicit basis of the hyperplane.  Fully redundant facets
     never meet the boundary and contribute zero automatically.
+
+    Facet i draws its g from the chunked stream at path (DOMAIN_BOUNDARY, i),
+    so block c is keyed (seed, DOMAIN_BOUNDARY, i, c) and each facet's hit
+    count is a stable prefix of any longer run with the same seed.
     """
     if samples_per_facet < 2:
         raise ValueError("samples_per_facet must be >= 2")
@@ -144,26 +148,16 @@ def estimate_gsa_facets(K: HalfspacePolytope, samples_per_facet: int, seed: int)
         v = normals[i]
         others = np.delete(np.arange(K.num_facets), i)
         hits = 0
-        done = 0
-        chunk_index = 0
-        while done < samples_per_facet:
-            block = rng.stream(seed, rng.DOMAIN_BOUNDARY, i, chunk_index).standard_normal(
-                (rng.CHUNK, K.n))
-            take = min(rng.CHUNK, samples_per_facet - done)
-            g = block[:take]
-            y = g - np.outer(g @ v, v) + offsets[i] * v
+        for g in rng.gaussian_chunks(K.n, samples_per_facet, seed, rng.DOMAIN_BOUNDARY, i):
             if others.size:
-                ok = np.all(y @ normals[others].T <= offsets[others], axis=1)
-                hits += int(ok.sum())
+                y = g - np.outer(g @ v, v) + offsets[i] * v
+                hits += int(np.all(y @ normals[others].T <= offsets[others], axis=1).sum())
             else:
-                hits += take
-            done += take
-            chunk_index += 1
+                hits += g.shape[0]
         p_hat = hits / samples_per_facet
         density = gaussian_pdf(offsets[i])
         value += density * p_hat
-        if samples_per_facet > 1:
-            sample_var = p_hat * (1.0 - p_hat) * samples_per_facet / (samples_per_facet - 1)
-            variance += density**2 * sample_var / samples_per_facet
+        sample_var = p_hat * (1.0 - p_hat) * samples_per_facet / (samples_per_facet - 1)
+        variance += density**2 * sample_var / samples_per_facet
     return Estimate(value=value, stderr=math.sqrt(variance),
                     samples=samples_per_facet, seed=seed)

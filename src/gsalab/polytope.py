@@ -169,15 +169,15 @@ class Ball:
         return self.radius
 
 
-def _facet_normal(params: NazParams, seed: int, i: int) -> np.ndarray:
-    """Raw normal draw for facet i from its own counter-based stream."""
+def _facet_normal(params: NazParams, seed: int, i: int) -> tuple[np.ndarray, float]:
+    """Raw normal draw for facet i from its own counter-based stream, and its norm."""
     gen = rng.stream(seed, rng.DOMAIN_FACET, i)
     g = gen.standard_normal(params.n)
     norm = np.linalg.norm(g)
     while norm == 0.0:  # probability-zero guard; continue the same stream
         g = gen.standard_normal(params.n)
         norm = np.linalg.norm(g)
-    return g
+    return g, norm
 
 
 def sample_naz(params: NazParams, seed: int) -> HalfspacePolytope:
@@ -190,8 +190,8 @@ def sample_naz(params: NazParams, seed: int) -> HalfspacePolytope:
         raise ValueError("sample_naz requires the unit-sphere-normals variant")
     normals = np.empty((params.s, params.n))
     for i in range(params.s):
-        g = _facet_normal(params, seed, i)
-        normals[i] = g / np.linalg.norm(g)
+        g, norm = _facet_normal(params, seed, i)
+        normals[i] = g / norm
     offsets = np.full(params.s, params.offset)
     return HalfspacePolytope(normals, offsets, variant=UNIT_SPHERE, seed=seed)
 
@@ -207,8 +207,7 @@ def sample_naz_prime(params: NazParams, seed: int) -> HalfspacePolytope:
     normals = np.empty((params.s, params.n))
     offsets = np.empty(params.s)
     for i in range(params.s):
-        g = _facet_normal(params, seed, i)
-        norm = np.linalg.norm(g)
+        g, norm = _facet_normal(params, seed, i)
         normals[i] = g / norm
         offsets[i] = params.offset / norm
     return HalfspacePolytope(normals, offsets, variant=GAUSSIAN, seed=seed)

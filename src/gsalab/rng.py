@@ -4,6 +4,12 @@ Every stochastic routine in the package draws from a Philox stream keyed by
 (seed, domain, indices...).  Streams with distinct keys are statistically
 independent, so work can be split over facets or sample chunks without any
 shared-state hand-off, and a fixed seed reproduces every draw bit for bit.
+
+Chunked Gaussian point streams all go through `gaussian_chunks`, keyed by a
+path tuple: block c of the stream at path p is drawn from the key
+(seed, *p, c).  The shared volume/influence point stream uses the path
+(DOMAIN_POINTS,); the in-hyperplane stream of facet i uses
+(DOMAIN_BOUNDARY, i).
 """
 
 from __future__ import annotations
@@ -34,20 +40,19 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
-def gaussian_chunks(n: int, samples: int, seed: int, domain: int = DOMAIN_POINTS):
+def gaussian_chunks(n: int, samples: int, seed: int, *path: int):
     """Yield standard-Gaussian blocks of shape (k, n), k <= CHUNK.
 
-    Block c always generates a full CHUNK x n array and slices off the tail,
-    so the first `samples` points are identical for any larger sample count
-    with the same seed.
+    Block c comes from the stream keyed (seed, *path, c); path defaults to
+    (DOMAIN_POINTS,).  Each block draws only the k rows it yields.  A
+    Generator fills standard_normal output row-major from its one keyed
+    counter stream, so those k rows are bit for bit the first k rows of a
+    full CHUNK x n draw from the same key.  Hence the first `samples` points
+    are identical for any larger sample count with the same seed and path.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        block = stream(seed, domain, chunk_index).standard_normal((CHUNK, n))
-        take = min(CHUNK, samples - done)
-        yield block[:take]
-        done += take
-        chunk_index += 1
+    path = path or (DOMAIN_POINTS,)
+    for chunk_index, start in enumerate(range(0, samples, CHUNK)):
+        take = min(CHUNK, samples - start)
+        yield stream(seed, *path, chunk_index).standard_normal((take, n))

@@ -188,10 +188,51 @@ def test_influence_upper_bound_sqrt_2n():
 
 
 def test_point_stream_prefix_stability():
-    # the first k samples are bitwise independent of the total sample count
-    short = np.concatenate(list(rng.gaussian_chunks(3, 6000, seed=9)))
-    long = np.concatenate(list(rng.gaussian_chunks(3, 12_000, seed=9)))
-    assert np.array_equal(short, long[:6000])
+    for path in [(), (rng.DOMAIN_POINTS,), (rng.DOMAIN_BOUNDARY, 5)]:
+        # the first k samples are bitwise independent of the total sample count
+        short = np.concatenate(list(rng.gaussian_chunks(3, 6000, 9, *path)))
+        long = np.concatenate(list(rng.gaussian_chunks(3, 12_000, 9, *path)))
+        assert np.array_equal(short, long[:6000])
+        # each block, the partial last one included, is the leading rows of a
+        # full CHUNK x n draw from the key (seed, *path, block index)
+        key = path or (rng.DOMAIN_POINTS,)
+        blocks = list(rng.gaussian_chunks(3, 6000, 9, *path))
+        assert [b.shape for b in blocks] == [(rng.CHUNK, 3), (6000 - rng.CHUNK, 3)]
+        for c, block in enumerate(blocks):
+            full = rng.stream(9, *key, c).standard_normal((rng.CHUNK, 3))
+            assert np.array_equal(block, full[:block.shape[0]])
+
+
+def test_gsa_facets_frozen_regression():
+    # exact values from the full-block draw; 5000 samples per facet span two
+    # chunks, so this pins the facet stream keys and the partial last block
+    K = polytope.sample_naz(NazParams(n=5, offset=1.2, s=7), seed=17)
+    est = estimate_gsa_facets(K, 5000, seed=23)
+    assert est.value == 0.6776704946804167
+    assert est.stderr == 0.0035339648200616923
+    assert (est.samples, est.seed) == (5000, 23)
+
+
+def test_estimators_draw_only_the_normals_they_use(monkeypatch):
+    K = polytope.sample_naz(NazParams(n=5, offset=1.2, s=7), seed=17)
+    drawn = []
+    real_stream = rng.stream
+
+    class Recording:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def standard_normal(self, size):
+            out = self.gen.standard_normal(size)
+            drawn.append(out.size)
+            return out
+
+    monkeypatch.setattr(rng, "stream", lambda *key: Recording(real_stream(*key)))
+    estimate_gsa_facets(K, 5000, seed=23)
+    assert sum(drawn) == K.num_facets * 5000 * K.n
+    drawn.clear()
+    estimate_volume(K, 6000, seed=23)
+    assert sum(drawn) == 6000 * K.n
 
 
 def test_estimators_deterministic():
