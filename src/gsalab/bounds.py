@@ -8,7 +8,6 @@ influence-derived upper bounds for individual sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .specfun import LOG_2PI, log_gamma
 
@@ -42,21 +41,6 @@ def nazarov_lower(n: int) -> float:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     return E_M54 * n**0.25
-
-
-@dataclass(frozen=True)
-class BoundsRow:
-    """Per-dimension bound curves, all in absolute GSA units."""
-
-    n: int
-    ball_upper: float
-    raic_upper: float
-    nazarov_lower: float
-
-
-def bounds_row(n: int) -> BoundsRow:
-    return BoundsRow(n=n, ball_upper=ball_upper(n), raic_upper=raic_upper(n),
-                     nazarov_lower=nazarov_lower(n))
 
 
 def gsa_ball_exact(n: int, R: float) -> float:

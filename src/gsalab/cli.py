@@ -3,8 +3,8 @@
 Every run records its seed and emits either human-readable lines, a JSON
 document (one object per run with a `rows` array, validating against
 schemas/report.schema.json), or RFC-4180 CSV.  Exit codes: 0 success,
-1 validation error, 2 numerical non-convergence, 3 invariant violation
-found by selftest.
+1 validation error or a value outside the double range (ArithmeticError),
+2 numerical non-convergence, 3 invariant violation found by selftest.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -36,10 +35,6 @@ MEASUREMENT_COLUMNS = ["name", "value", "stderr", "samples", "seed", "schema_ver
 def _row(name, value, stderr=None, samples=None, seed=None):
     return {"name": name, "value": float(value), "stderr": stderr,
             "samples": samples, "seed": seed}
-
-
-def _estimate_row(name, est):
-    return _row(name, est.value, stderr=est.stderr, samples=est.samples, seed=est.seed)
 
 
 def _emit(args, command, params, rows, columns):
@@ -153,9 +148,9 @@ def _cmd_influence(args):
     combined = estimators.influence_from_hermite_estimates(coeffs, shared_samples=True)
     volume = estimators.estimate_volume(body, args.samples, args.seed)
     rows = [
-        _estimate_row("influence-moment-mc", spectral),
-        _estimate_row("influence-hermite-mc", combined),
-        _estimate_row("gaussian-volume-mc", volume),
+        spectral.to_row("influence-moment-mc"),
+        combined.to_row("influence-hermite-mc"),
+        volume.to_row("gaussian-volume-mc"),
         _row("surface-upper-variance",
              bounds.final_var_upper(args.n, min(1.0, max(0.0, volume.value)),
                                     body.inradius())),
@@ -173,8 +168,8 @@ def _cmd_gsa(args):
     surface = estimators.estimate_gsa_facets(K, args.samples_per_facet, args.seed)
     influence = estimators.estimate_influence_spectral(K, args.samples, args.seed + 1)
     rows = [
-        _estimate_row("gsa-facet-mc", surface),
-        _estimate_row("influence-moment-mc", influence),
+        surface.to_row("gsa-facet-mc"),
+        influence.to_row("influence-moment-mc"),
         _row("influence-over-inradius", influence.value / K.inradius(),
              stderr=influence.stderr / K.inradius(), samples=influence.samples,
              seed=influence.seed),
@@ -223,8 +218,7 @@ def _cmd_optimize(args):
 def _cmd_scan(args):
     n_list = [int(v) for v in args.n.split(",")]
     alpha_list = [float(v) for v in args.alpha.split(",")]
-    threads = args.threads or int(os.environ.get("GSALAB_THREADS", "1"))
-    reports = radial.scan_report(n_list, alpha_list, threads=threads)
+    reports = radial.scan_report(n_list, alpha_list)
     rows = []
     for rep in reports:
         rows.append({
@@ -243,7 +237,7 @@ def _cmd_scan(args):
             "nazarov_lower": bounds.nazarov_lower(rep.n),
             "seed": args.seed,
         })
-    params = {"n": n_list, "alpha": alpha_list, "seed": args.seed, "threads": threads}
+    params = {"n": n_list, "alpha": alpha_list, "seed": args.seed}
     doc = _emit(args, "scan", params, rows, SCAN_COLUMNS)
     if args.svg:
         _svg_chart(args.svg, reports)
@@ -416,8 +410,6 @@ def build_parser():
     p = sub.add_parser("scan", help="scan dimensions and offset multipliers")
     p.add_argument("--n", required=True, help="comma-separated dimensions")
     p.add_argument("--alpha", default="1.0", help="comma-separated multipliers of n^(1/4)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: GSALAB_THREADS or 1)")
     p.add_argument("--svg", metavar="PATH", help="write a static line chart")
     add_output(p)
     p.set_defaults(func=_cmd_scan)
@@ -437,7 +429,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         result = args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (QuadratureConvergenceError, RuntimeError) as exc:

@@ -40,21 +40,6 @@ def h2(x):
     return out if out.ndim else float(out)
 
 
-def hermite_nd(alpha, x) -> float:
-    """Tensor-product basis function h_alpha(x) = prod_i h_{alpha_i}(x_i)."""
-    alpha = tuple(int(a) for a in alpha)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (len(alpha),):
-        raise ValueError(f"point has shape {x.shape}, expected ({len(alpha)},)")
-    if any(a < 0 for a in alpha):
-        raise ValueError("multi-index entries must be >= 0")
-    out = 1.0
-    for a, xi in zip(alpha, x):
-        if a:
-            out *= hermite_1d(a, float(xi))
-    return float(out)
-
-
 def gauss_hermite_nodes(count: int):
     """Probabilists' Gauss-Hermite nodes with weights summing to one.
 
@@ -86,14 +71,3 @@ def inner_product_gh(f, g, max_degree: int, nodes: int | None = None) -> float:
         )
     x, w = gauss_hermite_nodes(nodes)
     return float(np.dot(w, np.asarray(f(x), dtype=float) * np.asarray(g(x), dtype=float)))
-
-
-def parseval_check(coeffs_f: dict, coeffs_g: dict) -> float:
-    """Coefficient-space inner product sum_alpha fhat(alpha) ghat(alpha).
-
-    Coefficient maps are keyed by multi-index tuples; absent keys are zero,
-    so the sum runs over the support intersection.
-    """
-    if len(coeffs_f) > len(coeffs_g):
-        coeffs_f, coeffs_g = coeffs_g, coeffs_f
-    return float(sum(v * coeffs_g[k] for k, v in coeffs_f.items() if k in coeffs_g))

@@ -21,7 +21,6 @@ GAUSSIAN = "gaussian-normals"
 FIXED = "fixed-normals"
 
 _UNIT_TOL = 1e-12
-_CONTAINS_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -90,15 +89,11 @@ class HalfspacePolytope:
         return self.normals.shape[0]
 
     def contains(self, x) -> bool:
-        """Membership test; short-circuits on the first violated facet block."""
+        """Membership test for one point of shape (n,)."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"point has shape {x.shape}, expected ({self.n},)")
-        for start in range(0, self.num_facets, _CONTAINS_BLOCK):
-            block = slice(start, start + _CONTAINS_BLOCK)
-            if np.any(self.normals[block] @ x > self.offsets[block]):
-                return False
-        return True
+        return bool(self.contains_points(x[None])[0])
 
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (m, n) array of points."""
@@ -159,7 +154,7 @@ class Ball:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"point has shape {x.shape}, expected ({self.n},)")
-        return bool(np.dot(x, x) <= self.radius**2)
+        return bool(self.contains_points(x[None])[0])
 
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)

@@ -1,12 +1,16 @@
-"""Gauss-Legendre quadrature: composite panels and an adaptive bisection rule."""
+"""Gauss-Legendre quadrature: composite panels, the one node-doubling
+ladder every fixed-rule integral runs on, and an adaptive bisection rule."""
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
 PANEL_ORDER = 16
+_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(PANEL_ORDER)
+_GIVE_UP_TOL = 1e-6
+_MAX_DOUBLINGS = 14
+_ADAPTIVE_PANELS = 8
+_ADAPTIVE_DEPTH = 48
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -17,64 +21,68 @@ class QuadratureConvergenceError(RuntimeError):
         self.history = list(history or [])
 
 
-@lru_cache(maxsize=64)
-def _leggauss(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-def composite_nodes(lo: float, hi: float, nodes: int, order: int = PANEL_ORDER):
+def composite_nodes(lo: float, hi: float, nodes: int):
     """Nodes and weights of a composite Gauss-Legendre rule on [lo, hi].
 
-    The interval is split into equal panels carrying `order` points each;
+    The interval is split into equal panels carrying PANEL_ORDER points each;
     `nodes` is rounded up to a whole number of panels.
     """
     if not hi > lo:
         raise ValueError(f"empty integration window [{lo}, {hi}]")
     if nodes < 1:
         raise ValueError("nodes must be >= 1")
-    panels = max(1, -(-nodes // order))
-    xs, ws = _leggauss(order)
+    panels = max(1, -(-nodes // PANEL_ORDER))
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
-    w = (half[:, None] * ws[None, :]).ravel()
+    x = (mid[:, None] + half[:, None] * _PANEL_X[None, :]).ravel()
+    w = (half[:, None] * _PANEL_W[None, :]).ravel()
     return x, w
 
 
-def integrate_doubling(f, lo, hi, nodes=128, rel_tol=1e-8, give_up_tol=1e-6,
-                       max_doublings=14):
-    """Integrate a vectorized f on [lo, hi], doubling nodes until stable.
+def node_ladder(evaluate, nodes, settled, tol, give_up_tol, max_doublings, what):
+    """Evaluate a rule at nodes, 2 nodes, 4 nodes, ... until it stabilizes.
 
-    Convergence means successive values agree to rel_tol; if the budget runs
-    out while they still differ by more than give_up_tol the computation is
-    reported as failed rather than returned silently.
+    evaluate(m) is the rule's value with m nodes; settled(prev, val, tol)
+    says whether one doubling step moved the value by at most tol, in the
+    caller's own measure.  The first settled step returns its value.  If the
+    budget of max_doublings runs out, the last value is still returned when
+    its step settles within give_up_tol; otherwise the failure is raised
+    with the (nodes, value) ladder attached rather than returned silently.
     """
     history = []
-    prev = None
-    n = nodes
-    for _ in range(max_doublings + 1):
-        x, w = composite_nodes(lo, hi, n)
-        val = float(np.dot(w, f(x)))
-        history.append((n, val))
-        if prev is not None:
-            scale = max(abs(val), abs(prev), 1e-300)
-            if abs(val - prev) <= rel_tol * scale:
-                return val
-        prev = val
-        n *= 2
-    last_change = abs(history[-1][1] - history[-2][1])
-    scale = max(abs(history[-1][1]), 1e-300)
-    if last_change <= give_up_tol * scale:
-        return history[-1][1]
+    for k in range(max_doublings + 1):
+        val = evaluate(nodes << k)
+        history.append((nodes << k, val))
+        if k and settled(history[-2][1], val, tol):
+            return val
+    (_, prev), (_, last) = history[-2:]
+    if settled(prev, last, give_up_tol):
+        return last
     raise QuadratureConvergenceError(
-        f"integral on [{lo}, {hi}] did not stabilize: node ladder {history}",
-        history=history,
-    )
+        f"{what} did not stabilize: node ladder {history}", history=history)
 
 
-def adaptive_quad(f, lo, hi, abs_tol=1e-12, max_depth=48, initial_panels=8):
+def _relative_step(prev, val, tol):
+    return abs(val - prev) <= tol * max(abs(val), abs(prev), 1e-300)
+
+
+def integrate_doubling(f, lo, hi, nodes=128, rel_tol=1e-8):
+    """Integrate a vectorized f on [lo, hi], doubling nodes until stable.
+
+    Convergence means successive values agree to rel_tol; if 14 doublings
+    still leave them more than 1e-6 apart (relative) the computation is
+    reported as failed rather than returned silently.
+    """
+    def evaluate(m):
+        x, w = composite_nodes(lo, hi, m)
+        return float(np.dot(w, f(x)))
+
+    return node_ladder(evaluate, nodes, _relative_step, rel_tol, _GIVE_UP_TOL,
+                       _MAX_DOUBLINGS, f"integral on [{lo}, {hi}]")
+
+
+def adaptive_quad(f, lo, hi, abs_tol=1e-12):
     """Adaptive Gauss-Legendre on [lo, hi] for a vectorized integrand.
 
     Each panel is accepted when one 16-point estimate agrees with the sum of
@@ -88,16 +96,16 @@ def adaptive_quad(f, lo, hi, abs_tol=1e-12, max_depth=48, initial_panels=8):
         return float(np.dot(w, f(x)))
 
     total = 0.0
-    edges = np.linspace(lo, hi, initial_panels + 1)
+    edges = np.linspace(lo, hi, _ADAPTIVE_PANELS + 1)
     stack = [(edges[i], edges[i + 1], panel(edges[i], edges[i + 1]), 0)
-             for i in range(initial_panels)]
+             for i in range(_ADAPTIVE_PANELS)]
     tol_per = abs_tol / max(1, len(stack))
     while stack:
         a, b, coarse, depth = stack.pop()
         m = 0.5 * (a + b)
         left, right = panel(a, m), panel(m, b)
         fine = left + right
-        if abs(fine - coarse) <= tol_per or depth >= max_depth:
+        if abs(fine - coarse) <= tol_per or depth >= _ADAPTIVE_DEPTH:
             total += fine
         else:
             stack.append((a, m, left, depth + 1))

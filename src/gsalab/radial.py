@@ -10,7 +10,9 @@ Everything here is assembled in log space per node, because s reaches 1e7
 and beyond while P sits just below one.  The module also evaluates the
 step-by-step lower-bound chain on the radius shell, the facet-count
 selection rule, and the scalar optimization recovering the shell
-lower-bound constant e^(-5/4).
+lower-bound constant e^(-5/4).  Windows, node counts, the shell and every
+tolerance follow from n alone; a QuadratureSpec only switches the influence
+integral to the adaptive rule that serves as its independent check.
 
 e^(-5/4) is what the shell chain certifies for GSA / n^(1/4) at r = n^(1/4);
 it is not the limit of the optimized expectation.  With r = alpha n^(1/4)
@@ -22,7 +24,6 @@ g ~ N(0, 1/2) (L(1) = 0.30127), from above at a rate of order n^(-1/2).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,14 +32,17 @@ import numpy as np
 from .cap import (cap_log_complement_from_ratio, log_complement_upper_from_ratio,
                   log_F_dilation)
 from .golden import golden_section_max, grid_then_golden_min
-from .quadrature import QuadratureConvergenceError, composite_nodes, integrate_doubling
+from .quadrature import composite_nodes, integrate_doubling, node_ladder
 from .specfun import chi_log_density, log1mexp, log_gaussian_cdf, log_tau_n
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+_NODES = 128
 _REL_TOL = 1e-8
 _GIVE_UP_TOL = 1e-6
 _MAX_DOUBLINGS = 12
 _CHAIN_SLACK = 1e-10
+_MONOTONICITY_GRID = 257
+_COARSE_GRID = 48
 
 
 class ChainViolationError(RuntimeError):
@@ -55,27 +59,24 @@ class QuadratureSpec:
 
     The default window covers [sqrt(n) - 12, sqrt(n) + 12] clipped to the
     positive axis; the Gaussian-norm density outside is below e^-70 of its
-    peak, far under the convergence tolerance.
+    peak, far under the convergence tolerance.  The Gauss-Legendre rule
+    starts its node doubling at 128 nodes.
     """
 
     rho_lo: float
     rho_hi: float
-    nodes: int = 128
     rule: str = "gauss-legendre"
 
     def __post_init__(self):
         if not (self.rho_lo >= 0.0 and self.rho_hi > self.rho_lo):
             raise ValueError(f"invalid window [{self.rho_lo}, {self.rho_hi}]")
-        if self.nodes < 16:
-            raise ValueError(f"need at least 16 nodes, got {self.nodes}")
         if self.rule not in ("gauss-legendre", "adaptive"):
             raise ValueError(f"unknown rule: {self.rule}")
 
     @classmethod
-    def for_dimension(cls, n: int, nodes: int = 128, rule: str = "gauss-legendre"):
+    def for_dimension(cls, n: int, rule: str = "gauss-legendre"):
         root = math.sqrt(n)
-        return cls(rho_lo=max(root - 12.0, 0.0), rho_hi=root + 12.0,
-                   nodes=nodes, rule=rule)
+        return cls(rho_lo=max(root - 12.0, 0.0), rho_hi=root + 12.0, rule=rule)
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,8 @@ class ShellA:
             raise ValueError(f"shell reaches nonpositive radii: rho_min={self.rho_min}")
 
 
-def shell_for(n: int, t: float | None = None) -> ShellA:
-    """Shell with half-width t, defaulting to n^(1/4), for n >= 4.
+def shell_for(n: int) -> ShellA:
+    """Shell [sqrt(n) - n^(1/4), sqrt(n) + n^(1/4)], for n >= 4.
 
     The shell only carries the cap-complement bound G of the chain, and G
     exists for n >= 4 alone, so smaller dimensions are rejected here rather
@@ -101,10 +102,7 @@ def shell_for(n: int, t: float | None = None) -> ShellA:
     """
     if n < 4:
         raise ValueError(f"shell needs n >= 4 for the complement bound G, got {n}")
-    if t is None:
-        t = n**0.25
-    if not t > 0.0:
-        raise ValueError(f"shell half-width must be > 0, got {t}")
+    t = n**0.25
     root = math.sqrt(n)
     return ShellA(n=n, t=t, rho_min=root - t, rho_max=root + t)
 
@@ -146,14 +144,21 @@ def _logsumexp(values: np.ndarray) -> float:
     return top + math.log(float(np.sum(np.exp(values - top))))
 
 
+def _s_free_log_terms(n: int, r: float, rho, log_w=0.0):
+    """The s-free parts of the log integrand at rho, its one definition.
+
+    Returns (log_w + log chi_n + log tau_n + log F, log P); the log
+    integrand is the first plus log s plus (s - 1) times the second.
+    """
+    base = log_w + chi_log_density(n, rho) + log_tau_n(n) + log_F_dilation(n, r, rho)
+    return base, log1mexp(cap_log_complement_from_ratio(n, r / rho))
+
+
 @lru_cache(maxsize=256)
 def _node_table(n: int, r: float, lo: float, hi: float, nodes: int):
-    """Cached per-node pieces of the log integrand that do not involve s."""
+    """Cached s-free log terms at the nodes, the quadrature weights folded in."""
     x, w = composite_nodes(lo, hi, nodes)
-    base = (np.log(w) + chi_log_density(n, x) + log_tau_n(n)
-            + log_F_dilation(n, r, x))
-    log_p = log1mexp(cap_log_complement_from_ratio(n, r / x))
-    return base, log_p
+    return _s_free_log_terms(n, r, x, np.log(w))
 
 
 def influence_log_integrand(n: int, r: float, s: float, rho):
@@ -163,10 +168,13 @@ def influence_log_integrand(n: int, r: float, s: float, rho):
     intermediate stays in log space.
     """
     rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-    out = (chi_log_density(n, rho_arr) + math.log(s) + log_tau_n(n)
-           + log_F_dilation(n, r, rho_arr)
-           + (s - 1.0) * log1mexp(cap_log_complement_from_ratio(n, r / rho_arr)))
+    base, log_p = _s_free_log_terms(n, r, rho_arr)
+    out = base + math.log(s) + (s - 1.0) * log_p
     return float(out[0]) if np.isscalar(rho) else out
+
+
+def _log_step_settled(prev: float, val: float, tol: float) -> bool:
+    return (prev == val == -math.inf) or abs(val - prev) <= tol
 
 
 def expected_influence_quadrature(n: int, r: float, s: float,
@@ -199,24 +207,14 @@ def expected_influence_quadrature(n: int, r: float, s: float,
         return adaptive_quad(integrand, lo, spec.rho_hi, abs_tol=1e-10)
 
     log_s = math.log(s)
-    history = []
-    prev = None
-    nodes = spec.nodes
-    for _ in range(_MAX_DOUBLINGS + 1):
+
+    def log_value(nodes):
         base, log_p = _node_table(n, r, lo, spec.rho_hi, nodes)
-        log_val = _logsumexp(base + log_s + (s - 1.0) * log_p)
-        history.append((nodes, log_val))
-        if prev is not None:
-            if (prev == -math.inf and log_val == -math.inf) or \
-               abs(log_val - prev) <= _REL_TOL:
-                return math.exp(log_val)
-        prev = log_val
-        nodes *= 2
-    if abs(history[-1][1] - history[-2][1]) <= _GIVE_UP_TOL:
-        return math.exp(history[-1][1])
-    raise QuadratureConvergenceError(
-        f"influence quadrature at (n={n}, r={r}, s={s}) did not stabilize; "
-        f"log-value ladder {history}", history=history)
+        return _logsumexp(base + log_s + (s - 1.0) * log_p)
+
+    return math.exp(node_ladder(
+        log_value, _NODES, _log_step_settled, _REL_TOL, _GIVE_UP_TOL, _MAX_DOUBLINGS,
+        f"influence quadrature (log values) at (n={n}, r={r}, s={s})"))
 
 
 def expected_gsa(n: int, r: float, s: float,
@@ -225,8 +223,7 @@ def expected_gsa(n: int, r: float, s: float,
     return expected_influence_quadrature(n, r, s, spec) / r
 
 
-def choose_s(n: int, r: float, c1: float, t: float | None = None,
-             monotonicity_grid: int = 257) -> int:
+def choose_s(n: int, r: float, c1: float) -> int:
     """Facet count from the selection rule s * inf_shell(F) = c1, for n >= 4.
 
     F must be increasing across the shell so its infimum sits at the inner
@@ -235,13 +232,13 @@ def choose_s(n: int, r: float, c1: float, t: float | None = None,
     integer, so s * inf F = c1 holds only to within inf F / 2 (1/(2s)
     relative).
     """
-    shell = shell_for(n, t)
+    shell = shell_for(n)
     if not c1 > 0.0:
         raise ValueError(f"c1 must be > 0, got {c1}")
     if shell.rho_min <= r:
         raise ValueError(
             f"degenerate shell: inner radius {shell.rho_min} does not clear r={r}")
-    grid = np.linspace(shell.rho_min, shell.rho_max, monotonicity_grid)
+    grid = np.linspace(shell.rho_min, shell.rho_max, _MONOTONICITY_GRID)
     log_f = log_F_dilation(n, r, grid)
     if not np.all(np.diff(log_f) > 0.0):
         raise RuntimeError(
@@ -288,14 +285,15 @@ def optimal_c1():
     return c_star, math.exp(log_f(c_star))
 
 
-def optimize_s(n: int, r: float, spec: QuadratureSpec | None = None,
-               coarse_grid: int = 48):
+def optimize_s(n: int, r: float):
     """Directly maximize expected surface area over the facet count.
 
-    Works on ln s (continuous relaxation, rounded at the end): a coarse scan
-    brackets the peak, golden section refines it.  The bracket is centered
-    where s times the cap-complement bound at radius sqrt(n) is order one,
-    which is where the integrand stops being killed by either factor.
+    Works on ln s (continuous relaxation, rounded at the end): a 48-point
+    scan brackets the peak, golden section refines it.  The bracket is
+    centered where s times the cap-complement bound at radius sqrt(n) is
+    order one, which is where the integrand stops being killed by either
+    factor.  Every value of s is integrated on the default window, so the
+    ladder's node tables are built once per (n, r) and served from cache.
     """
     if n < 7:
         raise ValueError(f"optimize_s needs n >= 7, got {n}")
@@ -304,25 +302,25 @@ def optimize_s(n: int, r: float, spec: QuadratureSpec | None = None,
     log_g_center = float(log_complement_upper_from_ratio(n, r / math.sqrt(n)))
 
     def objective(ln_s):
-        return expected_gsa(n, r, math.exp(ln_s), spec)
+        return expected_gsa(n, r, math.exp(ln_s))
 
     half_width = math.log(1e3)
     for attempt in range(4):
         lo = max(0.0, -log_g_center - half_width)
         hi = max(lo + 1.0, -log_g_center + half_width)
-        grid = np.linspace(lo, hi, coarse_grid)
+        grid = np.linspace(lo, hi, _COARSE_GRID)
         vals = np.array([objective(g) for g in grid])
         k = int(np.argmax(vals))
-        if 0 < k < coarse_grid - 1 or (k == 0 and lo == 0.0):
+        if 0 < k < _COARSE_GRID - 1 or (k == 0 and lo == 0.0):
             break
         half_width *= 2.0
     else:
         raise RuntimeError(f"facet-count optimum not bracketed at (n={n}, r={r})")
     a = grid[max(0, k - 1)]
-    b = grid[min(coarse_grid - 1, k + 1)]
+    b = grid[min(_COARSE_GRID - 1, k + 1)]
     ln_star, _ = golden_section_max(objective, a, b, tol=1e-6)
     s_star = max(1, int(round(math.exp(ln_star))))
-    return s_star, expected_gsa(n, r, float(s_star), spec)
+    return s_star, expected_gsa(n, r, float(s_star))
 
 
 def _shell_min(fn, shell: ShellA) -> float:
@@ -330,9 +328,7 @@ def _shell_min(fn, shell: ShellA) -> float:
     return val
 
 
-def lower_bound_chain(n: int, r: float, s: float,
-                      spec: QuadratureSpec | None = None,
-                      t: float | None = None) -> LowerBoundReport:
+def lower_bound_chain(n: int, r: float, s: float) -> LowerBoundReport:
     """Evaluate every step of the shell lower bound at finite n.
 
     Steps, each a pointwise theorem on the shell (no asymptotics):
@@ -345,8 +341,8 @@ def lower_bound_chain(n: int, r: float, s: float,
     Any ordering violation beyond 1e-10 relative slack raises.  chain_value
     is v2, bernoulli_value is v4.
     """
-    exact = expected_influence_quadrature(n, r, s, spec)
-    shell = shell_for(n, t)
+    exact = expected_influence_quadrature(n, r, s)
+    shell = shell_for(n)
     log_tau = log_tau_n(n)
     log_s = math.log(s)
 
@@ -433,29 +429,20 @@ def lower_bound_chain(n: int, r: float, s: float,
     )
 
 
-def scan_report(n_list, alpha_list, spec: QuadratureSpec | None = None,
-                threads: int = 1) -> list[LowerBoundReport]:
+def scan_report(n_list, alpha_list) -> list[LowerBoundReport]:
     """Optimize the facet count and run the chain for each (n, alpha) cell.
 
-    r = alpha * n^(1/4) per cell.  Cells are pure computations; with
-    threads > 1 they run on a pool, and results come back in (n, alpha)
-    order either way.
+    r = alpha * n^(1/4) per cell; reports come back in (n, alpha) order.
     """
-    cells = [(n, alpha) for n in n_list for alpha in alpha_list]
-
-    def run(cell):
-        n, alpha = cell
+    reports = []
+    for n in n_list:
         if n < 7:
             raise ValueError(f"scan needs n >= 7, got {n}")
-        r = alpha * n**0.25
-        per_n_spec = spec if spec is not None else QuadratureSpec.for_dimension(n)
-        s_star, _ = optimize_s(n, r, per_n_spec)
-        return lower_bound_chain(n, r, float(s_star), per_n_spec)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, cells))
-    return [run(cell) for cell in cells]
+        for alpha in alpha_list:
+            r = alpha * n**0.25
+            s_star, _ = optimize_s(n, r)
+            reports.append(lower_bound_chain(n, r, float(s_star)))
+    return reports
 
 
 def ball_influence_quadrature(n: int, R: float) -> float:
@@ -475,8 +462,7 @@ def ball_influence_quadrature(n: int, R: float) -> float:
     return integrate_doubling(integrand, 0.0, R, nodes=64, rel_tol=1e-12)
 
 
-def expected_influence_naz_prime(n: int, w: float, s: float,
-                                 spec: QuadratureSpec | None = None) -> float:
+def expected_influence_naz_prime(n: int, w: float, s: float) -> float:
     """E[influence] for the Gaussian-normal variant, by the same reduction.
 
     A point at radius rho survives one Gaussian halfspace {x.g <= w} with
@@ -491,13 +477,11 @@ def expected_influence_naz_prime(n: int, w: float, s: float,
         raise ValueError(f"offset w must be > 0, got {w}")
     if not s >= 1.0:
         raise ValueError(f"facet count must be >= 1, got {s}")
-    if spec is None:
-        spec = QuadratureSpec.for_dimension(n)
+    spec = QuadratureSpec.for_dimension(n)
     lo = max(spec.rho_lo, 1e-9)
 
     def integrand(rho):
         log_surv = s * np.array([log_gaussian_cdf(w / p) for p in rho])
         return np.exp(chi_log_density(n, rho) + log_surv) * (n - rho**2)
 
-    return integrate_doubling(integrand, lo, spec.rho_hi, nodes=spec.nodes,
-                              rel_tol=1e-10)
+    return integrate_doubling(integrand, lo, spec.rho_hi, nodes=_NODES, rel_tol=1e-10)

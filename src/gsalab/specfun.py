@@ -72,22 +72,6 @@ def mills_sandwich(t: float) -> TailSandwich:
     return TailSandwich(lower=lower, upper=upper)
 
 
-def norm_concentration_bound(n: int, t: float, C: float = 0.125) -> float:
-    """Upper bound min(1, 2 exp(-C t^2)) on P[| ||x|| - sqrt(n) | >= t].
-
-    The constant in the underlying concentration statement is not pinned
-    down, so C is caller-supplied; this bound is for diagnostics only and
-    never feeds the lower-bound pipeline.
-    """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    if not C > 0.0:
-        raise ValueError(f"C must be > 0, got {C}")
-    return min(1.0, 2.0 * math.exp(-C * t * t))
-
-
 def log_gamma(a: float) -> float:
     """ln Gamma(a) for a > 0.  Delegates to the platform Lanczos routine."""
     if not a > 0.0:

@@ -114,9 +114,3 @@ def test_sphere_peak_surface_is_order_one():
         peak = max(bounds.gsa_ball_exact(n, float(R)) for R in grid)
         assert 0.4 <= peak <= 0.85
         assert peak <= bounds.ball_upper(n)
-
-
-def test_bounds_row():
-    row = bounds.bounds_row(16)
-    assert row.n == 16
-    assert row.nazarov_lower <= row.raic_upper <= row.ball_upper

@@ -100,13 +100,36 @@ def test_scan_csv_deterministic(tmp_path):
         assert column in header
 
 
-def test_scan_threads_match(tmp_path):
-    one = tmp_path / "one.csv"
-    four = tmp_path / "four.csv"
-    assert run(["scan", "--n", "64,256", "--alpha", "1.0", "--csv", str(one)]) == 0
-    assert run(["scan", "--n", "64,256", "--alpha", "1.0", "--threads", "4",
-                "--csv", str(four)]) == 0
-    assert one.read_bytes() == four.read_bytes()
+def test_scan_rows_frozen_regression(tmp_path):
+    # rows of `scan --n 256 --alpha 1.0`, frozen from the serial pipeline
+    # before the radial code was pruned; any change to them is a change of result
+    out = tmp_path / "scan.json"
+    assert run(["scan", "--n", "256", "--alpha", "1.0", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["rows"] == [{
+        "alpha": 1.0, "ball_upper": 16.0, "bernoulli_value": 1.0407639874393225e-14,
+        "c1": 0.004027134233836126, "chain_value": 1.0690940843231455e-10,
+        "exact_influence": 5.229679629141719, "expected_gsa": 1.3074199072854298,
+        "gsa_lower": 2.6727352108078638e-11, "inf_F": 1.1274171987223197e-07,
+        "inf_G": 5.936150373860542e-08, "n": 256, "nazarov_lower": 1.1460191874407604,
+        "r": 4.0, "raic_upper": 2.5678845608028653, "ratio_to_n14": 0.32685497682135745,
+        "s": 35720.0, "seed": 0, "stitch_factor_min": 0.9772277659019717,
+        "sup_G": 0.000798130271325388, "vol_shell": 0.999999977344374,
+    }]
+
+
+def test_quad_rows_frozen_regression(tmp_path):
+    # n = 4096 at alpha = 1 and the optimized facet count there
+    out = tmp_path / "quad.json"
+    assert run(["quad", "--n", "4096", "--s", "1768540977739982",
+                "--json", str(out)]) == 0
+    values = [(row["name"], row["value"]) for row in json.loads(out.read_text())["rows"]]
+    assert values == [
+        ("expected-influence-quadrature", 19.709494973121586),
+        ("expected-gsa-quadrature", 2.4636868716401983),
+        ("upper-raic", 4.927884560802865),
+        ("upper-ball", 32.0),
+        ("limit-reference-curve", 2.2920383748815207),
+    ]
 
 
 def test_scan_json_validates_against_schema(tmp_path):
@@ -138,6 +161,13 @@ def test_validation_errors_exit_one():
     assert run(["cap", "--n", "1", "--norm", "2", "--r", "1"]) == 1
     assert run(["cap", "--n", "3"]) == 1
     assert run(["no-such-command"]) == 1
+
+
+@pytest.mark.parametrize("command", ["optimize", "scan"])
+def test_arithmetic_failure_exits_one(command, capsys):
+    # at n = 1e7 the facet count exceeds the double range (ln s ~ sqrt(n) / 2)
+    assert run([command, "--n", "10000000"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_selftest_passes():

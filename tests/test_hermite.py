@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsalab import hermite, specfun
-from gsalab.hermite import h2, hermite_1d, hermite_nd, inner_product_gh, parseval_check
+from gsalab.hermite import h2, hermite_1d, inner_product_gh
 
 
 def test_h0_is_one():
@@ -42,18 +42,6 @@ def test_recurrence_matches_rodrigues():
         assert np.allclose(got, want, atol=1e-8), j
 
 
-def test_hermite_nd_cases():
-    assert hermite_nd((0, 0, 0), np.array([0.3, -2.0, 5.0])) == 1.0
-    assert hermite_nd((2, 0), np.array([0.0, 5.0])) == pytest.approx(
-        -1.0 / math.sqrt(2.0), rel=1e-14)
-    a, b = 1.37, -0.8
-    assert hermite_nd((1, 1), np.array([a, b])) == pytest.approx(a * b, rel=1e-14)
-    with pytest.raises(ValueError):
-        hermite_nd((1, 1), np.array([1.0]))
-    with pytest.raises(ValueError):
-        hermite_nd((-1,), np.array([1.0]))
-
-
 def test_orthonormality_to_degree_10():
     for i in range(11):
         for j in range(11):
@@ -78,12 +66,6 @@ def test_inner_product_node_bookkeeping():
                             nodes=8) == pytest.approx(1.0, rel=1e-13)
 
 
-def test_parseval_cases():
-    assert parseval_check({(2,): 1.0}, {(2,): 1.0}) == 1.0
-    assert parseval_check({(0,): 0.7}, {(0,): 2.0, (1,): 5.0}) == pytest.approx(1.4)
-    assert parseval_check({}, {(1,): 1.0}) == 0.0
-
-
 def test_parseval_mean_and_variance_match_quadrature():
     coeffs = {(0,): 1.0, (1,): 2.0, (2,): -0.5, (3,): 0.25}
 
@@ -95,7 +77,7 @@ def test_parseval_mean_and_variance_match_quadrature():
     assert mean == pytest.approx(coeffs[(0,)], abs=1e-10)
     var_coeff = sum(c * c for k, c in coeffs.items() if k != (0,))
     assert second - mean**2 == pytest.approx(var_coeff, abs=1e-10)
-    assert parseval_check(coeffs, coeffs) == pytest.approx(second, abs=1e-10)
+    assert sum(c * c for c in coeffs.values()) == pytest.approx(second, abs=1e-10)
 
 
 @pytest.mark.parametrize("n", [2, 16])

@@ -130,14 +130,6 @@ def test_contains_closed_boundary():
     assert not box.contains(np.array([1.0 + 1e-9, 0.0]))
 
 
-def test_contains_points_matches_scalar():
-    K = polytope.sample_naz(NazParams(n=5, offset=1.0, s=8), seed=4)
-    points = rng.stream(1, 2, 3).standard_normal((500, 5))
-    vectorized = K.contains_points(points)
-    scalar = np.array([K.contains(p) for p in points])
-    assert np.array_equal(vectorized, scalar)
-
-
 def test_inradius_naz_and_inscribed_ball():
     state = np.random.default_rng(12)
     for k in range(20):

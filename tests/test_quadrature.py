@@ -5,7 +5,7 @@ import pytest
 
 from gsalab.golden import golden_section_max, golden_section_min, grid_then_golden_min
 from gsalab.quadrature import (QuadratureConvergenceError, adaptive_quad,
-                               composite_nodes, integrate_doubling)
+                               composite_nodes, integrate_doubling, node_ladder)
 
 
 def gaussian(x):
@@ -40,7 +40,7 @@ def test_integrate_doubling_reports_failure():
         return state.standard_normal(x.shape)
 
     with pytest.raises(QuadratureConvergenceError) as err:
-        integrate_doubling(noisy, 0.0, 1.0, nodes=16, max_doublings=4)
+        integrate_doubling(noisy, 0.0, 1.0, nodes=16)
     assert err.value.history
 
 
@@ -78,3 +78,18 @@ def test_grid_then_golden_min():
     x, fx = grid_then_golden_min(lambda t: abs(t - math.pi), 0.0, 10.0)
     assert x == pytest.approx(math.pi, abs=1e-6)
     assert fx == pytest.approx(0.0, abs=1e-6)
+
+
+def test_node_ladder_budget_and_give_up():
+    # 1/m moves by 1/(2m) per doubling: never within 1e-9 in four doublings,
+    # so the ladder ends at m = 256 and the give-up tolerance decides
+    def settled(prev, val, tol):
+        return abs(val - prev) <= tol
+
+    def ladder(give_up_tol):
+        return node_ladder(lambda m: 1.0 / m, 16, settled, 1e-9, give_up_tol, 4, "1/m")
+
+    assert ladder(1e-2) == 1.0 / 256
+    with pytest.raises(QuadratureConvergenceError, match="1/m did not stabilize") as err:
+        ladder(1e-3)
+    assert err.value.history == [(m, 1.0 / m) for m in (16, 32, 64, 128, 256)]

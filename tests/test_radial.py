@@ -20,8 +20,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(rho_lo=2.0, rho_hi=1.0)
     with pytest.raises(ValueError):
-        QuadratureSpec(rho_lo=0.0, rho_hi=1.0, nodes=8)
-    with pytest.raises(ValueError):
         QuadratureSpec(rho_lo=0.0, rho_hi=1.0, rule="monte-carlo")
 
 
@@ -241,13 +239,6 @@ def test_chain_dominance_across_scan():
     for rep in scan_report([64, 256], [0.75, 1.0, 1.25]):
         assert rep.chain_value <= rep.exact_quadrature + 1e-10
         assert rep.bernoulli_value <= rep.chain_value + 1e-10
-
-
-def test_scan_threaded_matches_serial():
-    serial = scan_report([64, 256], [1.0], threads=1)
-    threaded = scan_report([64, 256], [1.0], threads=4)
-    for a, b in zip(serial, threaded):
-        assert a == b
 
 
 def test_scan_ratios_below_raic_coefficient():

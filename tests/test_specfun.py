@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln as scipy_gammaln
 from scipy.stats import norm
 
-from gsalab import rng, specfun
+from gsalab import specfun
 
 
 def test_pdf_values():
@@ -62,30 +62,6 @@ def test_mills_sandwich_grid():
 def test_mills_sandwich_property(t):
     sandwich = specfun.mills_sandwich(t)
     assert sandwich.lower <= specfun.gaussian_tail(t) <= sandwich.upper
-
-
-def test_norm_concentration_values():
-    assert specfun.norm_concentration_bound(5, 100.0, C=0.25) == 0.0
-    assert specfun.norm_concentration_bound(100, 0.01, C=0.25) == 1.0
-    with pytest.raises(ValueError):
-        specfun.norm_concentration_bound(100, -1.0)
-    with pytest.raises(ValueError):
-        specfun.norm_concentration_bound(100, 1.0, C=0.0)
-    with pytest.raises(ValueError):
-        specfun.norm_concentration_bound(0, 1.0)
-
-
-def test_norm_concentration_empirical():
-    # frequency of | ||x|| - sqrt(n) | >= t stays below the bound with C = 1/8
-    n, samples, seed = 100, 1_000_000, 20240809
-    root = math.sqrt(n)
-    exceed = {1.0: 0, 2.0: 0, 3.0: 0}
-    for block in rng.gaussian_chunks(n, samples, seed):
-        norms = np.linalg.norm(block, axis=1)
-        for t in exceed:
-            exceed[t] += int(np.sum(np.abs(norms - root) >= t))
-    for t, count in exceed.items():
-        assert count / samples <= specfun.norm_concentration_bound(n, t, C=0.125)
 
 
 def test_log_gamma_values():
