@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+import time
 
 import numpy as np
 
@@ -31,13 +32,15 @@ SCAN_COLUMNS = [
 
 MEASUREMENT_COLUMNS = ["name", "value", "stderr", "samples", "seed", "schema_version"]
 
+SELFTEST_COLUMNS = ["name", "value", "seconds", "schema_version"]
+
 
 def _row(name, value, stderr=None, samples=None, seed=None):
     return {"name": name, "value": float(value), "stderr": stderr,
             "samples": samples, "seed": seed}
 
 
-def _emit(args, command, params, rows, columns):
+def _emit(args, command, params, rows, columns, echo=True):
     doc = {
         "command": command,
         "schema_version": SCHEMA_VERSION,
@@ -57,6 +60,8 @@ def _emit(args, command, params, rows, columns):
                 out = {k: row.get(k) for k in columns}
                 out["schema_version"] = SCHEMA_VERSION
                 writer.writerow(out)
+    if not echo:
+        return doc
     for row in rows:
         if "name" in row:
             line = f"{row['name']}: {row['value']!r}"
@@ -340,20 +345,26 @@ def _selftest_checks():
 
 
 def _cmd_selftest(args):
+    rows = []
     failures = 0
     for name, check in _selftest_checks():
+        start = time.perf_counter()
         try:
             check()
         except AssertionError as exc:
             print(f"FAIL {name}: {exc}")
             failures += 1
+            value = 0.0
         else:
             print(f"PASS {name}")
+            value = 1.0
+        rows.append({"name": name, "value": value, "seconds": time.perf_counter() - start})
+    doc = _emit(args, "selftest", {"seed": args.seed}, rows, SELFTEST_COLUMNS, echo=False)
     if failures:
         print(f"{failures} invariant check(s) failed")
-        return None, 3
+        return doc, 3
     print("all invariant checks passed")
-    return None, 0
+    return doc, 0
 
 
 def build_parser():
@@ -414,7 +425,8 @@ def build_parser():
     add_output(p)
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("selftest", help="run the invariant suite")
+    p = sub.add_parser("selftest", help="run the invariant suite; each check is a row "
+                       "with value 1.0 (pass) or 0.0 (fail) and its seconds")
     add_output(p)
     p.set_defaults(func=_cmd_selftest)
 

@@ -40,23 +40,3 @@ def golden_section_min(f, lo: float, hi: float, tol: float = 1e-10, max_iter: in
     x, fx = golden_section_max(lambda t: -f(t), lo, hi, tol=tol, max_iter=max_iter)
     return x, -fx
 
-
-def grid_then_golden_min(f, lo: float, hi: float, grid: int = 257, tol: float = 1e-10):
-    """Dense scan followed by golden refinement around the best cell.
-
-    Robust against mild multimodality from floating-point plateaus; used for
-    infima of log-space integrands over the radius shell.
-    """
-    import numpy as np
-
-    xs = np.linspace(lo, hi, grid)
-    vals = np.array([f(x) for x in xs])
-    k = int(np.argmin(vals))
-    a = xs[max(0, k - 1)]
-    b = xs[min(grid - 1, k + 1)]
-    if a == b:
-        return float(xs[k]), float(vals[k])
-    x, fx = golden_section_min(f, a, b, tol=tol)
-    if vals[k] < fx:
-        return float(xs[k]), float(vals[k])
-    return x, fx

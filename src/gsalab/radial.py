@@ -31,7 +31,7 @@ import numpy as np
 
 from .cap import (cap_log_complement_from_ratio, log_complement_upper_from_ratio,
                   log_F_dilation)
-from .golden import golden_section_max, grid_then_golden_min
+from .golden import golden_section_max, golden_section_min
 from .quadrature import composite_nodes, integrate_doubling, node_ladder
 from .specfun import chi_log_density, log1mexp, log_gaussian_cdf, log_tau_n
 
@@ -40,9 +40,13 @@ _NODES = 128
 _REL_TOL = 1e-8
 _GIVE_UP_TOL = 1e-6
 _MAX_DOUBLINGS = 12
+_TABLES_KEPT = 16  # one node table per rung of a full ladder: 128 << 0..12
 _CHAIN_SLACK = 1e-10
 _MONOTONICITY_GRID = 257
 _COARSE_GRID = 48
+_SHELL_GRID = 513
+_SHELL_TOL = 1e-9
+_LOG_UNDERFLOW = -746.0  # math.exp is exactly 0.0 below this
 
 
 class ChainViolationError(RuntimeError):
@@ -154,9 +158,14 @@ def _s_free_log_terms(n: int, r: float, rho, log_w=0.0):
     return base, log1mexp(cap_log_complement_from_ratio(n, r / rho))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=_TABLES_KEPT)
 def _node_table(n: int, r: float, lo: float, hi: float, nodes: int):
-    """Cached s-free log terms at the nodes, the quadrature weights folded in."""
+    """Cached s-free log terms at the nodes, the quadrature weights folded in.
+
+    Callers reuse the tables of one (n, r) at a time, across the values of s
+    that optimize_s and lower_bound_chain try, so the cache holds one full
+    ladder; tables kept for earlier (n, r) would only pin memory.
+    """
     x, w = composite_nodes(lo, hi, nodes)
     return _s_free_log_terms(n, r, x, np.log(w))
 
@@ -173,6 +182,12 @@ def influence_log_integrand(n: int, r: float, s: float, rho):
     return float(out[0]) if np.isscalar(rho) else out
 
 
+@lru_cache(maxsize=_TABLES_KEPT)
+def _log_p_max(n: int, r: float, lo: float) -> float:
+    """log P at lo, its largest value on [lo, inf): P falls as rho grows."""
+    return _s_free_log_terms(n, r, lo)[1]
+
+
 def _log_step_settled(prev: float, val: float, tol: float) -> bool:
     return (prev == val == -math.inf) or abs(val - prev) <= tol
 
@@ -183,8 +198,10 @@ def expected_influence_quadrature(n: int, r: float, s: float,
 
     Composite Gauss-Legendre with node doubling until successive values agree
     to 1e-8 relative (in the log); failure to reach 1e-6 raises with the node
-    ladder attached.  F vanishes identically below rho = r, so integration
-    starts at max(window_lo, r) and the clamp kink never sits inside a panel.
+    ladder attached.  When an upper bound on every node sum lies below the
+    double range (about e^-746) the value is 0.0 and no ladder runs.  F
+    vanishes identically below rho = r, so integration starts at
+    max(window_lo, r) and the clamp kink never sits inside a panel.
     """
     if n < 4:
         raise ValueError(f"radial reduction needs n >= 4, got {n}")
@@ -207,6 +224,12 @@ def expected_influence_quadrature(n: int, r: float, s: float,
         return adaptive_quad(integrand, lo, spec.rho_hi, abs_tol=1e-10)
 
     log_s = math.log(s)
+    # chi_n <= 1, F <= 1 and P <= P(lo) on the window, so every node sum is at
+    # most (hi - lo) tau_n s P(lo)^(s-1); below the double range it is 0.0 at
+    # any node count, where the ladder's absolute log step could never settle.
+    if (math.log(spec.rho_hi - lo) + log_tau_n(n) + log_s
+            + (s - 1.0) * _log_p_max(n, r, lo)) < _LOG_UNDERFLOW:
+        return 0.0
 
     def log_value(nodes):
         base, log_p = _node_table(n, r, lo, spec.rho_hi, nodes)
@@ -323,9 +346,16 @@ def optimize_s(n: int, r: float):
     return s_star, expected_gsa(n, r, float(s_star))
 
 
-def _shell_min(fn, shell: ShellA) -> float:
-    _, val = grid_then_golden_min(fn, shell.rho_min, shell.rho_max, grid=513, tol=1e-9)
-    return val
+def _refined_min(f, xs: np.ndarray, vals: np.ndarray) -> float:
+    """Minimum of f over [xs[0], xs[-1]] given its values vals on the grid xs.
+
+    Golden search refines the two cells around the grid argmin, at a shell
+    edge as well as inside; the grid value wins when it is lower.
+    """
+    k = int(np.argmin(vals))
+    _, fx = golden_section_min(f, xs[max(0, k - 1)], xs[min(xs.size - 1, k + 1)],
+                               tol=_SHELL_TOL)
+    return float(vals[k]) if vals[k] < fx else fx
 
 
 def lower_bound_chain(n: int, r: float, s: float) -> LowerBoundReport:
@@ -338,8 +368,12 @@ def lower_bound_chain(n: int, r: float, s: float) -> LowerBoundReport:
             >= vol(shell) * tau * c1 * inf{ (1-G)^s }                (v3, c1 = s inf F)
             >= vol(shell) * tau * c1 * inf{ e^(-sG) (1 - s G^2 e^G) } (v4, Bernoulli)
 
-    Any ordering violation beyond 1e-10 relative slack raises.  chain_value
-    is v2, bernoulli_value is v4.
+    Every shell infimum (inf F, inf G, sup G, v1 to v4 and the stitch factor)
+    comes from one shared 513-point grid on the shell: log F, log G and
+    log P are each evaluated once on the whole grid, every objective is
+    built from those arrays, and golden search to 1e-9 then refines the two
+    cells around each grid argmin.  Any ordering violation beyond 1e-10
+    relative slack raises.  chain_value is v2, bernoulli_value is v4.
     """
     exact = expected_influence_quadrature(n, r, s)
     shell = shell_for(n)
@@ -351,26 +385,28 @@ def lower_bound_chain(n: int, r: float, s: float) -> LowerBoundReport:
         nodes=128, rel_tol=1e-12)
     log_vol = math.log(vol_shell)
 
+    # Each term takes one radius (for golden search) or the whole grid.
     def lF(rho):
-        return float(log_F_dilation(n, r, rho))
+        return log_F_dilation(n, r, rho)
 
     def lG(rho):
-        return float(log_complement_upper_from_ratio(n, r / rho))
+        return log_complement_upper_from_ratio(n, r / rho)
 
     def lP(rho):
-        return float(log1mexp(cap_log_complement_from_ratio(n, r / rho)))
+        return log1mexp(cap_log_complement_from_ratio(n, r / rho))
 
-    def l1mG(rho):
-        g = lG(rho)
-        return float(log1mexp(g)) if g < 0.0 else -math.inf
+    def l1mG(g_log):
+        return log1mexp(np.minimum(g_log, 0.0))  # log1mexp(0) = -inf covers G >= 1
 
-    log_inf_F = _shell_min(lF, shell)
-    log_inf_G = _shell_min(lG, shell)
-    log_sup_G = -_shell_min(lambda rho: -lG(rho), shell)
-    log_c1 = log_s + log_inf_F
+    def v1(lf, lp):
+        return log_s + log_tau + lf + (s - 1.0) * lp
 
-    def stitch_log(rho):
-        g_log = lG(rho)
+    def v2(lf, l1mg):
+        return log_s + lf + (s - 1.0) * l1mg
+
+    # The stitch terms stay on math.exp/math.log, one float at a time: numpy's
+    # exp may differ from math.exp in the last bit.
+    def stitch_log(g_log):
         sg_log = log_s + g_log
         if sg_log > 700.0:
             return -math.inf
@@ -381,18 +417,32 @@ def lower_bound_chain(n: int, r: float, s: float) -> LowerBoundReport:
             return -math.inf
         return -sg + math.log(factor)
 
-    def stitch_factor(rho):
-        g = math.exp(lG(rho))
-        sg2 = math.exp(min(log_s + 2.0 * lG(rho), 700.0))
-        return 1.0 - sg2 * math.exp(min(g, 700.0))
+    def stitch_factor(g_log):
+        sg2 = math.exp(min(log_s + 2.0 * g_log, 700.0))
+        return 1.0 - sg2 * math.exp(min(math.exp(g_log), 700.0))
 
-    log_v1 = log_vol + _shell_min(lambda rho: log_s + log_tau + lF(rho)
-                                  + (s - 1.0) * lP(rho), shell)
-    log_v2 = log_vol + log_tau + _shell_min(lambda rho: log_s + lF(rho)
-                                            + (s - 1.0) * l1mG(rho), shell)
-    log_v3 = log_vol + log_tau + log_c1 + _shell_min(lambda rho: s * l1mG(rho), shell)
-    log_v4 = log_vol + log_tau + log_c1 + _shell_min(stitch_log, shell)
-    stitch_min = _shell_min(stitch_factor, shell)
+    xs = np.linspace(shell.rho_min, shell.rho_max, _SHELL_GRID)
+    LF, LG, LP = lF(xs), lG(xs), lP(xs)
+    L1mG = l1mG(LG)
+    lg_list = LG.tolist()
+
+    def shell_min(f, vals):
+        return _refined_min(f, xs, vals)
+
+    log_inf_F = shell_min(lF, LF)
+    log_inf_G = shell_min(lG, LG)
+    log_sup_G = -shell_min(lambda rho: -lG(rho), -LG)
+    log_c1 = log_s + log_inf_F
+
+    log_v1 = log_vol + shell_min(lambda rho: v1(lF(rho), lP(rho)), v1(LF, LP))
+    log_v2 = log_vol + log_tau + shell_min(lambda rho: v2(lF(rho), l1mG(lG(rho))),
+                                           v2(LF, L1mG))
+    log_v3 = log_vol + log_tau + log_c1 + shell_min(lambda rho: s * l1mG(lG(rho)),
+                                                    s * L1mG)
+    log_v4 = log_vol + log_tau + log_c1 + shell_min(
+        lambda rho: stitch_log(lG(rho)), np.array([stitch_log(g) for g in lg_list]))
+    stitch_min = shell_min(lambda rho: stitch_factor(lG(rho)),
+                           np.array([stitch_factor(g) for g in lg_list]))
 
     def check(name, larger_log, smaller_log):
         if smaller_log == -math.inf:

@@ -172,3 +172,38 @@ def test_arithmetic_failure_exits_one(command, capsys):
 
 def test_selftest_passes():
     assert run(["selftest"]) == 0
+
+
+def test_selftest_writes_its_report(tmp_path):
+    out_json = tmp_path / "selftest.json"
+    out_csv = tmp_path / "selftest.csv"
+    assert run(["selftest", "--json", str(out_json), "--csv", str(out_csv)]) == 0
+    doc = json.loads(out_json.read_text())
+    jsonschema.validate(doc, load_schema())
+    assert doc["command"] == "selftest"
+    assert [row["name"] for row in doc["rows"]] == [name for name, _ in cli._selftest_checks()]
+    assert all(row["value"] == 1.0 and row["seconds"] >= 0.0 for row in doc["rows"])
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == "name,value,seconds,schema_version"
+    assert len(lines) == 1 + len(doc["rows"])
+
+
+def test_selftest_failure_is_recorded(tmp_path, monkeypatch):
+    def broken():
+        raise AssertionError("planted")
+
+    monkeypatch.setattr(cli, "_selftest_checks", lambda: [("planted-failure", broken)])
+    out = tmp_path / "selftest.json"
+    assert run(["selftest", "--json", str(out)]) == 3
+    rows = json.loads(out.read_text())["rows"]
+    assert [(row["name"], row["value"]) for row in rows] == [("planted-failure", 0.0)]
+
+
+def test_quad_far_below_double_range_is_zero(tmp_path):
+    # ln of the integral is about -1e224 here: no node count can settle the
+    # ladder's absolute log step, and the value is 0.0 in doubles
+    out = tmp_path / "quad.json"
+    assert run(["quad", "--n", "100000", "--s", "1e300", "--json", str(out)]) == 0
+    rows = {row["name"]: row["value"] for row in json.loads(out.read_text())["rows"]}
+    assert rows["expected-influence-quadrature"] == 0.0
+    assert rows["expected-gsa-quadrature"] == 0.0

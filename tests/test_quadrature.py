@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gsalab.golden import golden_section_max, golden_section_min, grid_then_golden_min
+from gsalab.golden import golden_section_max, golden_section_min
 from gsalab.quadrature import (QuadratureConvergenceError, adaptive_quad,
                                composite_nodes, integrate_doubling, node_ladder)
 
@@ -72,12 +72,6 @@ def test_golden_section_min_cos():
 def test_golden_rejects_bad_bracket():
     with pytest.raises(ValueError):
         golden_section_max(lambda c: c, 1.0, 1.0)
-
-
-def test_grid_then_golden_min():
-    x, fx = grid_then_golden_min(lambda t: abs(t - math.pi), 0.0, 10.0)
-    assert x == pytest.approx(math.pi, abs=1e-6)
-    assert fx == pytest.approx(0.0, abs=1e-6)
 
 
 def test_node_ladder_budget_and_give_up():

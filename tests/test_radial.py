@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -56,6 +57,14 @@ def test_influence_quadrature_validation():
         expected_influence_quadrature(16, -1.0, 2.0)
     with pytest.raises(ValueError):
         expected_influence_quadrature(16, 1.0, 0.5)
+
+
+def test_influence_spike_below_the_first_nodes_is_still_resolved():
+    # with 1e12 facets at n = 7 the mass is a sliver just above rho = r, and
+    # the 128- and 256-node sums miss it by far more than the double range
+    # (log values -44921 and -5641); only an upper bound on the integral,
+    # not two tiny node sums, may end the ladder early.  Frozen value.
+    assert expected_influence_quadrature(7, 1.5 * 7**0.25, 1e12) == 1.3956684793453333
 
 
 def test_influence_monotone_in_small_s():
@@ -309,3 +318,79 @@ def test_chain_never_trips_on_valid_configs():
             lower_bound_chain(n, r, s)
         except ChainViolationError as exc:
             pytest.fail(f"chain violation on valid config: {exc}")
+
+
+# Every LowerBoundReport field, in field order (n, r, s, alpha, c1,
+# exact_quadrature, chain_value, bernoulli_value, gsa_lower, ratio_to_n14,
+# log_chain_value, log_bernoulli_value, vol_shell, inf_F, inf_G, sup_G,
+# stitch_factor_min), frozen from the per-point shell search the shared
+# grid replaced; s is the optimized facet count.  At (16, 1.0) the shell's
+# inner edge is r itself, so inf F is 0; its stitch factor changes in the
+# last bits if built with numpy's exp instead of math.exp.
+CHAIN_FROZEN = {
+    (16, 1.0): (
+        16, 2.0, 55.0, 1.0, 0.0, 1.5762345344626725, 0.0, 0.0, 0.0, 0.3940586336156681,
+        -math.inf, -math.inf, 0.9960098159411965, 0.0, 0.00017573784751750537,
+        0.17031133923756295, -0.8915380954049978),
+    (64, 0.75): (
+        64, 2.121320343559643, 63.0, 0.75, 0.09376266196327206, 1.8792224143871572,
+        0.059137029695986165, 0.0009216311908071171, 0.027877463144841366,
+        0.3132037357311928, -2.8278979907770827, -6.989365424403599,
+        0.9999335267795912, 0.0014882962216392391, 0.0007444659587320177,
+        0.08187149157070331, 0.5416868780186621),
+    (1024, 1.2): (
+        1024, 6.788225099390856, 235609419571.0, 1.2, 3.548627629420801e-05,
+        12.442537498487965, 0.0, 0.0, 0.0, 0.3240244140231241, -1009.5791193352374,
+        -1027.4330844952678, 0.9999999999998848, 1.5061484536068977e-16,
+        9.203463538303842e-17, 4.328064565031297e-09, 0.9999955865306699),
+    (4096, 1.0): (
+        4096, 8.0, 1768540977739982.0, 1.0, 0.00011924264416535228, 19.709494973121586,
+        0.0, 0.0, 0.0, 0.3079608589550248, -1046.5478999433185, -1063.0712695987052,
+        1.0000000000000497, 6.742430379969622e-20, 3.174130780283482e-20,
+        5.978242484659865e-13, 0.9999999993679344),
+    (65536, 0.9): (
+        65536, 14.4, 4.039999896875547e+46, 0.9, 1.156063732807215e-06, 66.6943625873116,
+        0.0, 0.0, 0.0, 0.28947205984076213, -155226.139236604, -155252.2204684752,
+        0.9999999999822339, 2.8615439661305214e-53, 1.5325591742818079e-53,
+        3.8426529744801997e-42, 1.0),
+}
+
+
+@pytest.mark.parametrize("n, alpha", sorted(CHAIN_FROZEN))
+def test_chain_frozen_regression(n, alpha):
+    r = alpha * n**0.25
+    s_star, _ = optimize_s(n, r)
+    rep = lower_bound_chain(n, r, float(s_star))
+    assert dataclasses.astuple(rep) == CHAIN_FROZEN[(n, alpha)]
+
+
+def test_chain_evaluates_the_exact_complement_on_one_grid(monkeypatch):
+    # log P is the chain's costly integrand: one call covers the whole shell
+    # grid, the rest are v1's golden refinement and the quadrature's node
+    # tables; evaluating it point by point took 552 calls
+    calls = []
+    exact = radial.cap_log_complement_from_ratio
+
+    def recorder(n, u):
+        calls.append(np.size(u))
+        return exact(n, u)
+
+    monkeypatch.setattr(radial, "cap_log_complement_from_ratio", recorder)
+    lower_bound_chain(1024, 1024**0.25, 2000.0)
+    assert len(calls) < 64
+    assert calls.count(513) == 1
+
+
+def test_refined_min_at_an_edge_keeps_the_grid_value():
+    # the minimum of t on [1, 2] sits on the grid's first point; golden search
+    # on the first cell can only come close, so the grid value wins
+    xs = np.linspace(1.0, 2.0, 11)
+    assert radial._refined_min(lambda t: t, xs, xs.copy()) == 1.0
+
+
+def test_refined_min_interior_argmin():
+    xs = np.linspace(0.0, 10.0, 513)
+    vals = np.abs(xs - math.pi)
+    got = radial._refined_min(lambda t: abs(t - math.pi), xs, vals)
+    assert 0.0 <= got < vals.min()
+    assert got == pytest.approx(0.0, abs=1e-9)
