@@ -48,8 +48,12 @@ def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """Continued fraction for the incomplete beta (modified Lentz, vectorized).
 
     Valid on the convergent side x < (a+1)/(a+b+2); the caller is responsible
-    for flipping to the symmetric side first.
+    for flipping to the symmetric side first.  A one-element x runs the same
+    recurrence on Python floats (see _betacf_scalar): the result is bit for
+    bit what the array loop gives, only without its per-step ufunc overhead.
     """
+    if x.size == 1:
+        return np.full(x.shape, _betacf_scalar(a, b, float(x.flat[0])))
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -84,6 +88,50 @@ def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
             f"incomplete beta continued fraction stalled at a={a}, b={b}"
         )
     return h
+
+
+def _betacf_scalar(a: float, b: float, x: float) -> float:
+    """_betacf's recurrence for one x, on Python floats.
+
+    The same operations in the same order as the array loop, using only
+    + - * /, abs and comparisons, which IEEE doubles round identically in
+    Python and in numpy; so the value is bit-identical to the array loop's.
+    """
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _FPMIN:
+        d = _FPMIN
+    d = 1.0 / d
+    h = d
+    for m in range(1, _BETACF_ITMAX + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _BETACF_EPS:
+            return h
+    raise RuntimeError(
+        f"incomplete beta continued fraction stalled at a={a}, b={b}"
+    )
 
 
 def log_betainc_reg(a: float, b: float, x, cx=None):

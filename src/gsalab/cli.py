@@ -4,7 +4,8 @@ Every run records its seed and emits either human-readable lines, a JSON
 document (one object per run with a `rows` array, validating against
 schemas/report.schema.json), or RFC-4180 CSV.  Exit codes: 0 success,
 1 validation error or a value outside the double range (ArithmeticError),
-2 numerical non-convergence, 3 invariant violation found by selftest.
+2 numerical non-convergence, 3 invariant violation found by selftest.  On
+exit code 2 the JSON document has no rows and an `error` object instead.
 """
 
 from __future__ import annotations
@@ -76,6 +77,34 @@ def _emit(args, command, params, rows, columns, echo=True):
     return doc
 
 
+def _finite_or_none(value):
+    return value if not isinstance(value, float) or math.isfinite(value) else None
+
+
+def _emit_failure(args, exc):
+    """Write a convergence failure (exit code 2) as a strict-JSON report.
+
+    The document has no rows; its `error` object carries the message and,
+    for a QuadratureConvergenceError, the node ladder as [nodes, value]
+    pairs.  Non-finite numbers are written as null.
+    """
+    params = {key: _finite_or_none(value) for key, value in vars(args).items()
+              if key not in ("func", "command", "json", "csv")}
+    ladder = [[nodes, _finite_or_none(float(value))]
+              for nodes, value in getattr(exc, "history", [])]
+    doc = {
+        "command": args.command,
+        "schema_version": SCHEMA_VERSION,
+        "seed": args.seed,
+        "params": params,
+        "rows": [],
+        "error": {"message": str(exc), "history": ladder},
+    }
+    with open(args.json, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
+
+
 def _svg_chart(path, reports):
     """Static line chart of normalized curves against n (log scale)."""
     ns = sorted({rep.n for rep in reports})
@@ -83,7 +112,7 @@ def _svg_chart(path, reports):
         "construction": [max(rep.ratio_to_n14 for rep in reports if rep.n == n) for n in ns],
         "upper-raic": [bounds.raic_upper(n) / n**0.25 for n in ns],
         "upper-ball": [bounds.ball_upper(n) / n**0.25 for n in ns],
-        "limit-reference": [bounds.nazarov_lower(n) / n**0.25 for n in ns],
+        "shell-lower-bound": [bounds.nazarov_lower(n) / n**0.25 for n in ns],
     }
     width, height, pad = 640, 400, 50
     xs = [math.log(n) for n in ns]
@@ -93,7 +122,7 @@ def _svg_chart(path, reports):
     y_lo = 0.0
     y_hi = max(max(v) for v in series.values()) * 1.1
     colors = {"construction": "#d62728", "upper-raic": "#1f77b4",
-              "upper-ball": "#7f7f7f", "limit-reference": "#2ca02c"}
+              "upper-ball": "#7f7f7f", "shell-lower-bound": "#2ca02c"}
 
     def px(x):
         return pad + (x - x_lo) / (x_hi - x_lo) * (width - 2 * pad)
@@ -268,6 +297,15 @@ def _selftest_checks():
         q = cap.CapQuery(2, 1.0, 1.0 / math.sqrt(2.0))
         assert abs(cap.cap_probability(q) - 0.75) <= 1e-12
 
+    def betacf_scalar_path():
+        # a one-element x runs on Python floats, two elements the array loop;
+        # the two must agree bit for bit on the convergent side of each order
+        for a, b, x in ((1.5, 0.5, 0.3), (0.5, 1.5, 0.2), (511.5, 0.5, 0.99),
+                        (0.5, 511.5, 0.002), (49999.5, 0.5, 0.5), (0.5, 49999.5, 1e-5)):
+            one = cap._betacf(a, b, np.array([x]))[0]
+            two = cap._betacf(a, b, np.array([x, x]))[0]
+            assert one == two, f"paths differ at a={a}, b={b}, x={x}: {one!r} vs {two!r}"
+
     def mills_grid():
         for t in np.arange(1.0, 8.05, 0.1):
             sandwich = specfun.mills_sandwich(float(t))
@@ -332,6 +370,7 @@ def _selftest_checks():
     return [
         ("cap-route-agreement", cap_routes),
         ("cap-closed-forms", cap_closed_forms),
+        ("betacf-scalar-path", betacf_scalar_path),
         ("mills-sandwich-grid", mills_grid),
         ("tau-identities", tau_identities),
         ("chi-normalization", chi_normalization),
@@ -446,6 +485,8 @@ def main(argv=None) -> int:
         return 1
     except (QuadratureConvergenceError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        if args.json:
+            _emit_failure(args, exc)
         return 2
     if isinstance(result, tuple):
         return result[1]

@@ -1,7 +1,9 @@
 """Gaussian special functions and tail bounds.
 
 Everything downstream (cap measures, the radial pipeline) leans on these
-primitives, so they are kept scalar, exact, and log-space friendly.  Large
+primitives, so they are kept exact and log-space friendly.  The Gaussian
+tail, Mills-ratio, gamma and tau_n helpers take one number; log1mexp and
+chi_log_density are vectorized and return a float for a scalar argument.  Large
 exponents appear as soon as the halfspace count s gets big, hence the rule:
 compute in logs first, exponentiate last.
 """

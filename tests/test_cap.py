@@ -106,6 +106,37 @@ def test_log_complement_deep_tail_against_mpmath():
         assert mine == pytest.approx(float(exact), rel=1e-9)
 
 
+def _betacf_both_paths(a, b, x):
+    # a one-element x takes the Python-float path; the duplicate forces the
+    # array loop, where both elements converge at the same step
+    return (cap._betacf(a, b, np.array([x]))[0],
+            cap._betacf(a, b, np.array([x, x]))[0])
+
+
+@pytest.mark.parametrize("n", [4, 5, 16, 101, 1024, 10000, 100000])
+@pytest.mark.parametrize("flip", [False, True])
+def test_betacf_scalar_path_is_bit_identical(n, flip):
+    a, b = (n - 1) / 2.0, 0.5
+    if flip:
+        a, b = b, a
+    t = (a + 1.0) / (a + b + 2.0)
+    for x in (t * 1e-3, t * 0.5, t * (1.0 - 1e-9), t + (1.0 - t) * 1e-9,
+              t + (1.0 - t) * 0.5):
+        scalar, array = _betacf_both_paths(a, b, x)
+        assert scalar == array, (a, b, x)
+
+
+def test_betacf_stall_raises_on_both_paths(monkeypatch):
+    # at x = 0.4 the fraction converges at its third step on either path
+    monkeypatch.setattr(cap, "_BETACF_ITMAX", 2)
+    for x in (np.array([0.4]), np.array([0.4, 0.4])):
+        with pytest.raises(RuntimeError, match=r"stalled at a=511\.5, b=0\.5$"):
+            cap._betacf(511.5, 0.5, x)
+    monkeypatch.setattr(cap, "_BETACF_ITMAX", 3)
+    scalar, array = _betacf_both_paths(511.5, 0.5, 0.4)
+    assert scalar == array
+
+
 def test_monotone_in_r_and_norm():
     n = 24
     probs = [cap.cap_probability(CapQuery(n, 3.0, r)) for r in np.linspace(0.0, 3.5, 40)]

@@ -155,6 +155,8 @@ def test_scan_svg_output(tmp_path):
                 "--svg", str(svg)]) == 0
     text = svg.read_text()
     assert text.startswith("<svg") and "polyline" in text
+    # the green series is e^(-5/4) n^(1/4), the shell lower bound, not the limit
+    assert ">shell-lower-bound<" in text and "limit-reference" not in text
 
 
 def test_validation_errors_exit_one():
@@ -182,6 +184,7 @@ def test_selftest_writes_its_report(tmp_path):
     jsonschema.validate(doc, load_schema())
     assert doc["command"] == "selftest"
     assert [row["name"] for row in doc["rows"]] == [name for name, _ in cli._selftest_checks()]
+    assert "betacf-scalar-path" in [row["name"] for row in doc["rows"]]
     assert all(row["value"] == 1.0 and row["seconds"] >= 0.0 for row in doc["rows"])
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "name,value,seconds,schema_version"
@@ -207,3 +210,41 @@ def test_quad_far_below_double_range_is_zero(tmp_path):
     rows = {row["name"]: row["value"] for row in json.loads(out.read_text())["rows"]}
     assert rows["expected-influence-quadrature"] == 0.0
     assert rows["expected-gsa-quadrature"] == 0.0
+
+
+def _strict_json(path):
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} in {path}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_convergence_failure_leaves_a_json_record(tmp_path, capsys):
+    # the integral's mass is a sliver just above rho = r that equal-width
+    # panels miss, so the node ladder never settles
+    out = tmp_path / "quad.json"
+    assert run(["quad", "--n", "16", "--s", "1e30", "--json", str(out)]) == 2
+    doc = _strict_json(out)
+    jsonschema.validate(doc, load_schema())
+    assert doc["command"] == "quad" and doc["rows"] == []
+    assert doc["params"]["n"] == 16 and doc["params"]["s"] == 1e30
+    error = doc["error"]
+    assert error["message"] in capsys.readouterr().err
+    nodes = [pair[0] for pair in error["history"]]
+    assert nodes == [128 << k for k in range(len(nodes))] and len(nodes) > 1
+    assert all(isinstance(pair[1], float) for pair in error["history"])
+
+
+def test_convergence_failure_writes_non_finite_values_as_null(tmp_path, monkeypatch):
+    def diverging(n, r, s):
+        raise cli.QuadratureConvergenceError(
+            "planted", history=[(128, -math.inf), (256, math.nan), (512, -3.5)])
+
+    monkeypatch.setattr(cli.radial, "expected_influence_quadrature", diverging)
+    out = tmp_path / "quad.json"
+    assert run(["quad", "--n", "16", "--s", "inf", "--json", str(out)]) == 2
+    doc = _strict_json(out)
+    jsonschema.validate(doc, load_schema())
+    assert doc["params"]["s"] is None
+    assert doc["error"] == {"message": "planted",
+                            "history": [[128, None], [256, None], [512, -3.5]]}

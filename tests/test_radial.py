@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gsalab import estimators, polytope, radial, specfun
+from gsalab import cap, estimators, polytope, radial, specfun
 from gsalab.cap import log_F_dilation
 from gsalab.polytope import NazParams
 from gsalab.radial import (ChainViolationError, QuadratureSpec, choose_s,
@@ -379,6 +379,32 @@ def test_chain_evaluates_the_exact_complement_on_one_grid(monkeypatch):
     lower_bound_chain(1024, 1024**0.25, 2000.0)
     assert len(calls) < 64
     assert calls.count(513) == 1
+
+
+def test_chain_runs_one_point_continued_fractions_on_floats(monkeypatch):
+    # v1's golden refinement evaluates log P one radius at a time; those
+    # continued fractions take the Python-float path, the grid the array loop
+    scalar_calls = []
+    paths = []
+    betacf, betacf_scalar = cap._betacf, cap._betacf_scalar
+
+    def scalar_recorder(a, b, x):
+        scalar_calls.append(x)
+        return betacf_scalar(a, b, x)
+
+    def recorder(a, b, x):
+        before = len(scalar_calls)
+        out = betacf(a, b, x)
+        paths.append((np.size(x), len(scalar_calls) - before))
+        return out
+
+    monkeypatch.setattr(cap, "_betacf_scalar", scalar_recorder)
+    monkeypatch.setattr(cap, "_betacf", recorder)
+    lower_bound_chain(1024, 1024**0.25, 2000.0)
+    one_point = [took for size, took in paths if size == 1]
+    assert len(one_point) > 10
+    assert all(took == 1 for took in one_point)
+    assert [took for size, took in paths if size == 513] == [0]
 
 
 def test_refined_min_at_an_edge_keeps_the_grid_value():
