@@ -358,6 +358,24 @@ def _selftest_checks():
             rep = radial.lower_bound_chain(n, r, s)
             assert rep.chain_value <= rep.exact_quadrature + 1e-10
 
+    def shell_edge_infima():
+        # the chain reads six shell infima at an edge; on the 513-point shell
+        # grid each must be the grid minimum, also where F peaks inside the
+        # shell (r = 0.9 at n = 64)
+        for n, r, s in ((64, 0.9, 29.0), (256, 4.0, 35720.0), (65536, 14.4, 4e46)):
+            shell = radial.shell_for(n)
+            xs = np.linspace(shell.rho_min, shell.rho_max, radial._SHELL_GRID)
+            log_f = cap.log_F_dilation(n, r, xs)
+            log_g = cap.log_complement_upper_from_ratio(n, r / xs)
+            log_1m_g = radial._log_1m_g(log_g)
+            log_s, g_list = math.log(s), log_g.tolist()
+            grid = (float(log_f.min()), float(log_g.min()), float(log_g.max()),
+                    float((s * log_1m_g).min()),
+                    min(radial._stitch_log(log_s, g) for g in g_list),
+                    min(radial._stitch_factor(log_s, g) for g in g_list))
+            edge = radial._shell_edge_reads(log_f, log_g, log_1m_g, s)
+            assert edge == grid, f"edge reads {edge} vs grid minima {grid} at n={n}"
+
     def polytope_invariants():
         params = polytope.NazParams(n=8, offset=1.5, s=12)
         K = polytope.sample_naz(params, seed=11)
@@ -379,6 +397,7 @@ def _selftest_checks():
         ("h2-bridge-identity", h2_bridge),
         ("c1-closed-form", c1_closed_form),
         ("chain-dominance", chain_dominance),
+        ("shell-edge-infima", shell_edge_infima),
         ("polytope-invariants", polytope_invariants),
     ]
 

@@ -11,6 +11,7 @@ _GIVE_UP_TOL = 1e-6
 _MAX_DOUBLINGS = 14
 _ADAPTIVE_PANELS = 8
 _ADAPTIVE_DEPTH = 48
+_ADAPTIVE_BUDGET = 4096  # panels in one call of f; an f that never settles doubles them
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -19,6 +20,14 @@ class QuadratureConvergenceError(RuntimeError):
     def __init__(self, message, history=None):
         super().__init__(message)
         self.history = list(history or [])
+
+
+def _panel_nodes(a, b):
+    """Gauss-Legendre nodes and weights on the panels [a[i], b[i]], one row each."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (b + a)
+    x = mid[:, None] + half[:, None] * _PANEL_X[None, :]
+    return x, half[:, None] * _PANEL_W[None, :]
 
 
 def composite_nodes(lo: float, hi: float, nodes: int):
@@ -33,11 +42,8 @@ def composite_nodes(lo: float, hi: float, nodes: int):
         raise ValueError("nodes must be >= 1")
     panels = max(1, -(-nodes // PANEL_ORDER))
     edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * _PANEL_X[None, :]).ravel()
-    w = (half[:, None] * _PANEL_W[None, :]).ravel()
-    return x, w
+    x, w = _panel_nodes(edges[:-1], edges[1:])
+    return x.ravel(), w.ravel()
 
 
 def node_ladder(evaluate, nodes, settled, tol, give_up_tol, max_doublings, what):
@@ -86,28 +92,40 @@ def adaptive_quad(f, lo, hi, abs_tol=1e-12):
     """Adaptive Gauss-Legendre on [lo, hi] for a vectorized integrand.
 
     Each panel is accepted when one 16-point estimate agrees with the sum of
-    its two half-panel estimates; otherwise the halves are refined.
+    its two half-panel estimates to abs_tol / 8; otherwise the halves are
+    refined.  The rule runs one depth at a time: the halves of every live
+    panel go to f in a single call.  A panel still unsettled at depth 48, or
+    a next depth whose halves would pass _ADAPTIVE_BUDGET panels in that
+    call, raises QuadratureConvergenceError rather than returning an
+    unconverged sum.  The budget is checked before the next depth is built.
     """
     if not hi > lo:
         return 0.0
 
-    def panel(a, b):
-        x, w = composite_nodes(a, b, PANEL_ORDER)
-        return float(np.dot(w, f(x)))
+    def panel_sums(a, b):
+        x, w = _panel_nodes(a, b)
+        return np.sum(w * f(x.ravel()).reshape(x.shape), axis=1)
 
-    total = 0.0
     edges = np.linspace(lo, hi, _ADAPTIVE_PANELS + 1)
-    stack = [(edges[i], edges[i + 1], panel(edges[i], edges[i + 1]), 0)
-             for i in range(_ADAPTIVE_PANELS)]
-    tol_per = abs_tol / max(1, len(stack))
-    while stack:
-        a, b, coarse, depth = stack.pop()
+    a, b = edges[:-1], edges[1:]
+    coarse = panel_sums(a, b)
+    tol_per = abs_tol / _ADAPTIVE_PANELS
+    total = 0.0
+    for depth in range(_ADAPTIVE_DEPTH + 1):
         m = 0.5 * (a + b)
-        left, right = panel(a, m), panel(m, b)
+        halves = panel_sums(np.concatenate((a, m)), np.concatenate((m, b)))
+        left, right = halves[:a.size], halves[a.size:]
         fine = left + right
-        if abs(fine - coarse) <= tol_per or depth >= _ADAPTIVE_DEPTH:
-            total += fine
-        else:
-            stack.append((a, m, left, depth + 1))
-            stack.append((m, b, right, depth + 1))
-    return total
+        settled = np.abs(fine - coarse) <= tol_per  # a NaN step stays live
+        total += float(np.sum(fine[settled]))
+        live = ~settled
+        unsettled = int(np.count_nonzero(live))
+        if not unsettled:
+            return total
+        if depth == _ADAPTIVE_DEPTH or 4 * unsettled > _ADAPTIVE_BUDGET:
+            raise QuadratureConvergenceError(
+                f"adaptive rule on [{lo}, {hi}] did not settle: {unsettled} panels "
+                f"unsettled at depth {depth} (depth cap {_ADAPTIVE_DEPTH}, "
+                f"budget {_ADAPTIVE_BUDGET} panels per call)")
+        a, b = np.concatenate((a[live], m[live])), np.concatenate((m[live], b[live]))
+        coarse = np.concatenate((left[live], right[live]))

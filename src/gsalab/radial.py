@@ -10,7 +10,10 @@ Everything here is assembled in log space per node, because s reaches 1e7
 and beyond while P sits just below one.  The module also evaluates the
 step-by-step lower-bound chain on the radius shell, the facet-count
 selection rule, and the scalar optimization recovering the shell
-lower-bound constant e^(-5/4).  Windows, node counts, the shell and every
+lower-bound constant e^(-5/4).  F rises and then falls in rho and the
+complement bound G rises, so every shell infimum built from F or G alone
+is read at a shell edge; golden search runs only for the two chain steps
+that can have an interior minimum.  Windows, node counts, the shell and every
 tolerance follow from n alone; a QuadratureSpec only switches the influence
 integral to the adaptive rule that serves as its independent check.
 
@@ -42,7 +45,6 @@ _GIVE_UP_TOL = 1e-6
 _MAX_DOUBLINGS = 12
 _TABLES_KEPT = 16  # one node table per rung of a full ladder: 128 << 0..12
 _CHAIN_SLACK = 1e-10
-_MONOTONICITY_GRID = 257
 _COARSE_GRID = 48
 _SHELL_GRID = 513
 _SHELL_TOL = 1e-9
@@ -249,11 +251,11 @@ def expected_gsa(n: int, r: float, s: float,
 def choose_s(n: int, r: float, c1: float) -> int:
     """Facet count from the selection rule s * inf_shell(F) = c1, for n >= 4.
 
-    F must be increasing across the shell so its infimum sits at the inner
-    edge; that holds whenever the shell stays below r * sqrt(n - 2) and is
-    re-verified numerically on every call.  s is rounded to the nearest
-    integer, so s * inf F = c1 holds only to within inf F / 2 (1/(2s)
-    relative).
+    d/drho log F = -1/rho + (n - 3) r^2 / (rho (rho^2 - r^2)) vanishes only
+    at rho = r sqrt(n - 2), so F rises and then falls on rho > r, and its
+    infimum over the shell is the lower of its two edge values, for any r.
+    s is rounded to the nearest integer, so s * inf F = c1 holds only to
+    within inf F / 2 (1/(2s) relative).
     """
     shell = shell_for(n)
     if not c1 > 0.0:
@@ -261,13 +263,8 @@ def choose_s(n: int, r: float, c1: float) -> int:
     if shell.rho_min <= r:
         raise ValueError(
             f"degenerate shell: inner radius {shell.rho_min} does not clear r={r}")
-    grid = np.linspace(shell.rho_min, shell.rho_max, _MONOTONICITY_GRID)
-    log_f = log_F_dilation(n, r, grid)
-    if not np.all(np.diff(log_f) > 0.0):
-        raise RuntimeError(
-            f"F is not increasing on the shell at (n={n}, r={r}); "
-            "the inner-edge infimum rule does not apply")
-    inf_f = math.exp(float(log_f[0]))
+    log_f = log_F_dilation(n, r, np.array([shell.rho_min, shell.rho_max]))
+    inf_f = math.exp(float(log_f.min()))
     return max(1, int(round(c1 / inf_f)))
 
 
@@ -358,6 +355,50 @@ def _refined_min(f, xs: np.ndarray, vals: np.ndarray) -> float:
     return float(vals[k]) if vals[k] < fx else fx
 
 
+def _log_1m_g(g_log):
+    """log(1 - G) from log G; log1mexp(0) = -inf covers G >= 1."""
+    return log1mexp(np.minimum(g_log, 0.0))
+
+
+# The stitch terms stay on math.exp/math.log, one float at a time: numpy's
+# exp may differ from math.exp in the last bit.
+def _stitch_log(log_s: float, g_log: float) -> float:
+    """log of e^(-sG) (1 - s G^2 e^G), the Bernoulli relaxation of (1-G)^s."""
+    sg_log = log_s + g_log
+    if sg_log > 700.0:
+        return -math.inf
+    sg = math.exp(sg_log)
+    g = math.exp(g_log)
+    factor = 1.0 - sg * g * math.exp(min(g, 700.0))
+    if factor <= 0.0:
+        return -math.inf
+    return -sg + math.log(factor)
+
+
+def _stitch_factor(log_s: float, g_log: float) -> float:
+    """The stitch factor 1 - s G^2 e^G."""
+    sg2 = math.exp(min(log_s + 2.0 * g_log, 700.0))
+    return 1.0 - sg2 * math.exp(min(math.exp(g_log), 700.0))
+
+
+def _shell_edge_reads(log_f: np.ndarray, log_g: np.ndarray, log_1m_g: np.ndarray,
+                      s: float):
+    """The six shell infima the theory puts at an edge, read from the edges.
+
+    log_f, log_g and log_1m_g are log F, log G and log(1 - G) on a grid over
+    the shell, inner edge first.  F rises up to rho = r sqrt(n - 2) and
+    falls after it, so its infimum is the lower edge value.  G rises with
+    rho, and s log(1 - G), the stitch log and the stitch factor all fall as
+    G grows, so theirs sit at the outer edge.  Returns log inf F, log inf G,
+    log sup G, inf s log(1 - G), inf stitch log and inf stitch factor.
+    """
+    log_s = math.log(s)
+    g_top = float(log_g[-1])
+    return (min(float(log_f[0]), float(log_f[-1])), float(log_g[0]), g_top,
+            s * float(log_1m_g[-1]), _stitch_log(log_s, g_top),
+            _stitch_factor(log_s, g_top))
+
+
 def lower_bound_chain(n: int, r: float, s: float) -> LowerBoundReport:
     """Evaluate every step of the shell lower bound at finite n.
 
@@ -368,12 +409,14 @@ def lower_bound_chain(n: int, r: float, s: float) -> LowerBoundReport:
             >= vol(shell) * tau * c1 * inf{ (1-G)^s }                (v3, c1 = s inf F)
             >= vol(shell) * tau * c1 * inf{ e^(-sG) (1 - s G^2 e^G) } (v4, Bernoulli)
 
-    Every shell infimum (inf F, inf G, sup G, v1 to v4 and the stitch factor)
-    comes from one shared 513-point grid on the shell: log F, log G and
-    log P are each evaluated once on the whole grid, every objective is
-    built from those arrays, and golden search to 1e-9 then refines the two
-    cells around each grid argmin.  Any ordering violation beyond 1e-10
-    relative slack raises.  chain_value is v2, bernoulli_value is v4.
+    log F, log G and log P are each evaluated once on one 513-point grid on
+    the shell.  inf F, inf G, sup G, v3, v4 and the stitch factor can only
+    sit at a shell edge (see _shell_edge_reads) and are read from there.
+    v1 and v2 can have an interior minimum: golden search to 1e-9 refines
+    the two grid cells around each grid argmin.  At s = 1 the (s - 1) power
+    terms are exactly 0, also where log(1 - G) is -inf.  Any ordering
+    violation beyond 1e-10 relative slack raises.  chain_value is v2,
+    bernoulli_value is v4.
     """
     exact = expected_influence_quadrature(n, r, s)
     shell = shell_for(n)
@@ -395,54 +438,28 @@ def lower_bound_chain(n: int, r: float, s: float) -> LowerBoundReport:
     def lP(rho):
         return log1mexp(cap_log_complement_from_ratio(n, r / rho))
 
-    def l1mG(g_log):
-        return log1mexp(np.minimum(g_log, 0.0))  # log1mexp(0) = -inf covers G >= 1
+    def power(log_base):  # (s - 1) log_base, exactly 0 at s = 1
+        return (s - 1.0) * log_base if s != 1.0 else 0.0
 
     def v1(lf, lp):
-        return log_s + log_tau + lf + (s - 1.0) * lp
+        return log_s + log_tau + lf + power(lp)
 
     def v2(lf, l1mg):
-        return log_s + lf + (s - 1.0) * l1mg
-
-    # The stitch terms stay on math.exp/math.log, one float at a time: numpy's
-    # exp may differ from math.exp in the last bit.
-    def stitch_log(g_log):
-        sg_log = log_s + g_log
-        if sg_log > 700.0:
-            return -math.inf
-        sg = math.exp(sg_log)
-        g = math.exp(g_log)
-        factor = 1.0 - sg * g * math.exp(min(g, 700.0))
-        if factor <= 0.0:
-            return -math.inf
-        return -sg + math.log(factor)
-
-    def stitch_factor(g_log):
-        sg2 = math.exp(min(log_s + 2.0 * g_log, 700.0))
-        return 1.0 - sg2 * math.exp(min(math.exp(g_log), 700.0))
+        return log_s + lf + power(l1mg)
 
     xs = np.linspace(shell.rho_min, shell.rho_max, _SHELL_GRID)
     LF, LG, LP = lF(xs), lG(xs), lP(xs)
-    L1mG = l1mG(LG)
-    lg_list = LG.tolist()
+    L1mG = _log_1m_g(LG)
 
-    def shell_min(f, vals):
-        return _refined_min(f, xs, vals)
-
-    log_inf_F = shell_min(lF, LF)
-    log_inf_G = shell_min(lG, LG)
-    log_sup_G = -shell_min(lambda rho: -lG(rho), -LG)
+    log_inf_F, log_inf_G, log_sup_G, log_1mG_s, log_stitch, stitch_min = \
+        _shell_edge_reads(LF, LG, L1mG, s)
     log_c1 = log_s + log_inf_F
 
-    log_v1 = log_vol + shell_min(lambda rho: v1(lF(rho), lP(rho)), v1(LF, LP))
-    log_v2 = log_vol + log_tau + shell_min(lambda rho: v2(lF(rho), l1mG(lG(rho))),
-                                           v2(LF, L1mG))
-    log_v3 = log_vol + log_tau + log_c1 + shell_min(lambda rho: s * l1mG(lG(rho)),
-                                                    s * L1mG)
-    log_v4 = log_vol + log_tau + log_c1 + shell_min(
-        lambda rho: stitch_log(lG(rho)), np.array([stitch_log(g) for g in lg_list]))
-    stitch_min = shell_min(lambda rho: stitch_factor(lG(rho)),
-                           np.array([stitch_factor(g) for g in lg_list]))
+    log_v1 = log_vol + _refined_min(lambda rho: v1(lF(rho), lP(rho)), xs, v1(LF, LP))
+    log_v2 = log_vol + log_tau + _refined_min(
+        lambda rho: v2(lF(rho), _log_1m_g(lG(rho))), xs, v2(LF, L1mG))
+    log_v3 = log_vol + log_tau + log_c1 + log_1mG_s
+    log_v4 = log_vol + log_tau + log_c1 + log_stitch
 
     def check(name, larger_log, smaller_log):
         if smaller_log == -math.inf:

@@ -184,7 +184,7 @@ def test_selftest_writes_its_report(tmp_path):
     jsonschema.validate(doc, load_schema())
     assert doc["command"] == "selftest"
     assert [row["name"] for row in doc["rows"]] == [name for name, _ in cli._selftest_checks()]
-    assert "betacf-scalar-path" in [row["name"] for row in doc["rows"]]
+    assert {"betacf-scalar-path", "shell-edge-infima"} <= {row["name"] for row in doc["rows"]}
     assert all(row["value"] == 1.0 and row["seconds"] >= 0.0 for row in doc["rows"])
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "name,value,seconds,schema_version"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gsalab import quadrature
 from gsalab.golden import golden_section_max, golden_section_min
 from gsalab.quadrature import (QuadratureConvergenceError, adaptive_quad,
                                composite_nodes, integrate_doubling, node_ladder)
@@ -56,6 +57,38 @@ def test_adaptive_quad_narrow_bump():
 
     want = 0.01 * math.sqrt(2.0 * math.pi)
     assert adaptive_quad(bump, 0.0, 1.0, abs_tol=1e-13) == pytest.approx(want, rel=1e-10)
+
+
+def test_adaptive_quad_raises_at_the_depth_cap():
+    # the panel holding the jump never settles to 1e-300; on the dyadic panels
+    # of [0, 1] the flat pieces settle exactly, so the depth cap is what stops
+    def jump(x):
+        return (x > 0.3).astype(float)
+
+    with pytest.raises(QuadratureConvergenceError, match="depth 48"):
+        adaptive_quad(jump, 0.0, 1.0, abs_tol=1e-300)
+
+
+def test_adaptive_quad_raises_past_its_panel_budget(monkeypatch):
+    # the bump needs four panels at depth 1, eight halves in one call of f
+    def bump(x):
+        return np.exp(-0.5 * ((x - 0.4567) / 0.01) ** 2)
+
+    monkeypatch.setattr(quadrature, "_ADAPTIVE_BUDGET", 4)
+    with pytest.raises(QuadratureConvergenceError, match="budget 4 panels"):
+        adaptive_quad(bump, 0.0, 1.0, abs_tol=1e-13)
+
+
+def test_adaptive_quad_evaluates_one_depth_per_call():
+    # the 8 starting panels, then the halves of every live panel at each depth
+    calls = []
+
+    def bump(x):
+        calls.append(x.size // quadrature.PANEL_ORDER)
+        return np.exp(-0.5 * ((x - 0.4567) / 0.01) ** 2)
+
+    adaptive_quad(bump, 0.0, 1.0, abs_tol=1e-13)
+    assert calls == [8, 16, 8]
 
 
 def test_golden_section_quadratic():

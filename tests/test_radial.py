@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsalab import cap, estimators, polytope, radial, specfun
-from gsalab.cap import log_F_dilation
+from gsalab.cap import log_complement_upper_from_ratio, log_F_dilation
 from gsalab.polytope import NazParams
 from gsalab.radial import (ChainViolationError, QuadratureSpec, choose_s,
                            expected_gsa, expected_influence_quadrature,
@@ -130,8 +132,8 @@ def test_choose_s_monotonicity_guard_passes():
 
 
 def test_choose_s_rejects_dimension_below_four():
-    # below n = 4 there is no complement bound G, hence no shell; small r
-    # must not reach the monotonicity guard's RuntimeError first
+    # below n = 4 there is no complement bound G, hence no shell; a small r
+    # must be rejected for the dimension, not computed from a shell edge
     for n in (2, 3):
         with pytest.raises(ValueError, match="n >= 4"):
             choose_s(n, 0.1, 1.9)
@@ -142,10 +144,14 @@ def test_choose_s_degenerate_shell_rejected():
         choose_s(16, 16**0.25, 1.9)  # sqrt(16) - 16^(1/4) == r exactly
 
 
-def test_choose_s_detects_nonmonotone_dilation_factor():
-    # tiny r puts the peak of F inside the shell, breaking the inner-edge rule
-    with pytest.raises(RuntimeError):
-        choose_s(64, 0.9, 1.9)
+def test_choose_s_takes_inf_F_at_the_outer_edge():
+    # r = 0.9 puts the peak of F, at r sqrt(n - 2) = 7.09, inside the shell
+    # [5.17, 10.83]; F then falls to its infimum at the outer edge
+    c1_star, _ = optimal_c1()
+    shell = shell_for(64)
+    inner, outer = log_F_dilation(64, 0.9, np.array([shell.rho_min, shell.rho_max]))
+    assert outer < inner
+    assert choose_s(64, 0.9, c1_star) == round(c1_star / math.exp(outer)) == 29
 
 
 def test_optimal_c1_closed_forms():
@@ -362,6 +368,61 @@ def test_chain_frozen_regression(n, alpha):
     s_star, _ = optimize_s(n, r)
     rep = lower_bound_chain(n, r, float(s_star))
     assert dataclasses.astuple(rep) == CHAIN_FROZEN[(n, alpha)]
+
+
+def test_chain_runs_golden_search_for_v1_and_v2_only(monkeypatch):
+    # inf F, inf G, sup G, v3, v4 and the stitch factor are read at a shell
+    # edge; golden search used to refine all eight infima
+    searches = []
+    search = radial.golden_section_min
+
+    def counter(*args, **kwargs):
+        searches.append(args[1:3])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "golden_section_min", counter)
+    lower_bound_chain(1024, 1024**0.25, 2000.0)
+    assert len(searches) == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(4, 100_000), alpha=st.floats(0.05, 2.0),
+       s=st.one_of(st.just(1.0), st.floats(1.0, 1e12)))
+def test_shell_edge_reads_are_the_grid_minima(n, alpha, s):
+    # alpha below about n^(-1/4) puts the peak of F, at r sqrt(n - 2), inside
+    # the shell; every edge read must still equal the minimum over the grid
+    r = alpha * n**0.25
+    shell = shell_for(n)
+    xs = np.linspace(shell.rho_min, shell.rho_max, radial._SHELL_GRID)
+    log_f = log_F_dilation(n, r, xs)
+    log_g = log_complement_upper_from_ratio(n, r / xs)
+    log_1m_g = radial._log_1m_g(log_g)
+    log_s = math.log(s)
+    grid_minima = (
+        float(log_f.min()), float(log_g.min()), float(log_g.max()),
+        float((s * log_1m_g).min()),
+        min(radial._stitch_log(log_s, g) for g in log_g.tolist()),
+        min(radial._stitch_factor(log_s, g) for g in log_g.tolist()))
+    assert radial._shell_edge_reads(log_f, log_g, log_1m_g, s) == grid_minima
+
+
+# (n, alpha) cells whose v2 read 0 * log(1 - G) = 0 * (-inf) = NaN at s = 1
+S_ONE_CELLS = [(4, 0.5), (4, 0.75), (4, 1.0), (4, 1.25), (5, 0.5), (5, 0.75),
+               (6, 0.5), (7, 0.5), (8, 0.5)]
+
+
+@pytest.mark.parametrize("n, alpha", S_ONE_CELLS)
+def test_chain_at_one_facet_is_not_nan(n, alpha):
+    # (1 - G)^0 is 1 even where G >= 1: v2 is s F, with no NaN to let the
+    # ordering checks pass vacuously
+    r = alpha * n**0.25
+    rep = lower_bound_chain(n, r, 1.0)
+    assert not math.isnan(rep.log_chain_value)
+    assert rep.exact_quadrature == pytest.approx(r * specfun.gaussian_pdf(r), rel=1e-8)
+    if n >= 6:
+        assert 0.0 < rep.chain_value < rep.exact_quadrature
+    else:  # the inner shell edge lies below r, where F is 0
+        assert rep.log_chain_value == -math.inf
 
 
 def test_chain_evaluates_the_exact_complement_on_one_grid(monkeypatch):
