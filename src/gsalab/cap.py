@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import adaptive_quad
-from .specfun import log1mexp, log_gamma, log_tau_n, tau_n
+from .specfun import branchwise, log1mexp, log_gamma, log_tau_n, tau_n
 
 _BETACF_ITMAX = 2000
 _BETACF_EPS = 1e-15
@@ -143,24 +143,23 @@ def log_betainc_reg(a: float, b: float, x, cx=None):
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     cx = 1.0 - x if cx is None else np.atleast_1d(np.asarray(cx, dtype=float))
-    if np.any((x < 0) & ~np.isclose(x, 0)) or np.any(x > 1 + 1e-12):
+    # x within 1e-8 below 0 (np.isclose's default reach) reads as 0
+    if np.any((x < -1e-8) | (x > 1 + 1e-12)):
         raise ValueError("x must lie in [0, 1]")
     log_beta = log_gamma(a) + log_gamma(b) - log_gamma(a + b)
-    out = np.full(x.shape, -np.inf)
-    out[x >= 1.0] = 0.0
-    interior = (x > 0.0) & (x < 1.0)
-    thresh = (a + 1.0) / (a + b + 2.0)
-    direct = interior & (x < thresh)
-    flipped = interior & ~direct
-    if direct.any():
-        xs, cs = x[direct], cx[direct]
-        out[direct] = (a * np.log(xs) + b * np.log(cs) - log_beta
-                       - math.log(a) + np.log(_betacf(a, b, xs)))
-    if flipped.any():
-        xs, cs = x[flipped], cx[flipped]
-        log_complement = (b * np.log(cs) + a * np.log(xs) - log_beta
-                          - math.log(b) + np.log(_betacf(b, a, cs)))
-        out[flipped] = log1mexp(log_complement)
+    thresh = (a + 1.0) / (a + b + 2.0)  # in (0, 1): x < thresh implies x < 1
+
+    def direct(xs, cs):
+        return (a * np.log(xs) + b * np.log(cs) - log_beta
+                - math.log(a) + np.log(_betacf(a, b, xs)))
+
+    def flipped(xs, cs):
+        return log1mexp(b * np.log(cs) + a * np.log(xs) - log_beta
+                        - math.log(b) + np.log(_betacf(b, a, cs)))
+
+    out = branchwise([((x > 0.0) & (x < thresh), direct),
+                      ((x >= thresh) & (x < 1.0), flipped),
+                      (x >= 1.0, lambda xs, cs: np.zeros_like(xs))], (x, cx))
     return float(out[0]) if scalar else out
 
 
@@ -176,12 +175,12 @@ def cap_log_complement_from_ratio(n: int, u):
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u < 0):
         raise ValueError("ratio u must be >= 0")
-    out = np.full(u.shape, -np.inf)
-    inside = u < 1.0
-    if inside.any():
-        us = u[inside]
+
+    def inside(us):
         x = (1.0 - us) * (1.0 + us)
-        out[inside] = math.log(0.5) + log_betainc_reg((n - 1) / 2.0, 0.5, x, cx=us**2)
+        return math.log(0.5) + log_betainc_reg((n - 1) / 2.0, 0.5, x, cx=us**2)
+
+    out = branchwise([(u < 1.0, inside)], (u,))
     return float(out[0]) if scalar else out
 
 
@@ -276,11 +275,12 @@ def log_F_dilation(n: int, r: float, rho):
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if np.any(rho <= 0):
         raise ValueError("radius rho must be > 0")
-    out = np.full(rho.shape, -np.inf)
-    live = rho > r
-    if live.any():
-        q = r / rho[live]
-        out[live] = np.log(q) + 0.5 * (n - 3) * np.log1p(-q * q)
+
+    def live(rhos):
+        q = r / rhos
+        return np.log(q) + 0.5 * (n - 3) * np.log1p(-q * q)
+
+    out = branchwise([(rho > r, live)], (rho,))
     return float(out[0]) if scalar else out
 
 

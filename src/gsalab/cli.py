@@ -376,6 +376,19 @@ def _selftest_checks():
             edge = radial._shell_edge_reads(log_f, log_g, log_1m_g, s)
             assert edge == grid, f"edge reads {edge} vs grid minima {grid} at n={n}"
 
+    def batched_s_grid():
+        # optimize_s integrates its 48 values of s on one node ladder; each
+        # must be bit for bit the one-point expected_gsa, underflow exits
+        # included (the top of the (1000, 0.5) grid)
+        for n, alpha, width in ((64, 1.0, 3.0), (1000, 0.5, 14.0), (65536, 1.5, 7.0)):
+            r = alpha * n**0.25
+            center = -float(cap.log_complement_upper_from_ratio(n, r / math.sqrt(n)))
+            lo = max(0.0, center - width)
+            grid = np.linspace(lo, center + width, radial._COARSE_GRID)
+            batched = radial.expected_gsa_grid(n, r, grid).tolist()
+            alone = [radial.expected_gsa(n, r, math.exp(g)) for g in grid]
+            assert batched == alone, f"batched s grid differs at (n={n}, alpha={alpha})"
+
     def polytope_invariants():
         params = polytope.NazParams(n=8, offset=1.5, s=12)
         K = polytope.sample_naz(params, seed=11)
@@ -398,6 +411,7 @@ def _selftest_checks():
         ("c1-closed-form", c1_closed_form),
         ("chain-dominance", chain_dominance),
         ("shell-edge-infima", shell_edge_infima),
+        ("batched-s-grid", batched_s_grid),
         ("polytope-invariants", polytope_invariants),
     ]
 

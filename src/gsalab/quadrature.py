@@ -46,7 +46,8 @@ def composite_nodes(lo: float, hi: float, nodes: int):
     return x.ravel(), w.ravel()
 
 
-def node_ladder(evaluate, nodes, settled, tol, give_up_tol, max_doublings, what):
+def node_ladder(evaluate, nodes, settled, tol, give_up_tol, max_doublings, what,
+                entries=None):
     """Evaluate a rule at nodes, 2 nodes, 4 nodes, ... until it stabilizes.
 
     evaluate(m) is the rule's value with m nodes; settled(prev, val, tol)
@@ -55,18 +56,38 @@ def node_ladder(evaluate, nodes, settled, tol, give_up_tol, max_doublings, what)
     budget of max_doublings runs out, the last value is still returned when
     its step settles within give_up_tol; otherwise the failure is raised
     with the (nodes, value) ladder attached rather than returned silently.
+
+    With entries=k the rule has k values that settle one by one:
+    evaluate(m, live) returns the values of the entries listed in live, in
+    that order.  Each entry freezes at its own first settled step and leaves
+    live, so its value and ladder are what it gets alone; a one-entry rule
+    runs exactly the rungs of a scalar one.  When the budget runs out, the
+    first entry in order whose step misses give_up_tol is raised, and what
+    may be a callable naming entry i.  Returns a list of k values.
     """
-    history = []
+    ladders = [[] for _ in range(1 if entries is None else entries)]
+    live = list(range(len(ladders)))
     for k in range(max_doublings + 1):
-        val = evaluate(nodes << k)
-        history.append((nodes << k, val))
-        if k and settled(history[-2][1], val, tol):
-            return val
-    (_, prev), (_, last) = history[-2:]
-    if settled(prev, last, give_up_tol):
-        return last
-    raise QuadratureConvergenceError(
-        f"{what} did not stabilize: node ladder {history}", history=history)
+        m = nodes << k
+        values = [evaluate(m)] if entries is None else evaluate(m, live)
+        moving = []
+        for i, val in zip(live, values):
+            ladder = ladders[i]
+            ladder.append((m, val))
+            if not (k and settled(ladder[-2][1], val, tol)):
+                moving.append(i)
+        live = moving
+        if not live:
+            break
+    else:
+        for i in live:
+            (_, prev), (_, last) = ladders[i][-2:]
+            if not settled(prev, last, give_up_tol):
+                name = what(i) if callable(what) else what
+                raise QuadratureConvergenceError(
+                    f"{name} did not stabilize: node ladder {ladders[i]}", history=ladders[i])
+    out = [ladder[-1][1] for ladder in ladders]
+    return out[0] if entries is None else out
 
 
 def _relative_step(prev, val, tol):

@@ -27,6 +27,7 @@ g ~ N(0, 1/2) (L(1) = 0.30127), from above at a rate of order n^(-1/2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,7 +37,7 @@ from .cap import (cap_log_complement_from_ratio, log_complement_upper_from_ratio
                   log_F_dilation)
 from .golden import golden_section_max, golden_section_min
 from .quadrature import composite_nodes, integrate_doubling, node_ladder
-from .specfun import chi_log_density, log1mexp, log_gaussian_cdf, log_tau_n
+from .specfun import chi_log_density, log1mexp, log_tau_n
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 _NODES = 128
@@ -49,6 +50,8 @@ _COARSE_GRID = 48
 _SHELL_GRID = 513
 _SHELL_TOL = 1e-9
 _LOG_UNDERFLOW = -746.0  # math.exp is exactly 0.0 below this
+_LOG_MAX = math.log(sys.float_info.max)  # about 709.78: math.exp overflows above this
+_BLOCK = 1 << 18  # log integrands per array when many s climb the ladder together
 
 
 class ChainViolationError(RuntimeError):
@@ -143,11 +146,15 @@ class LowerBoundReport:
     stitch_factor_min: float
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    top = float(np.max(values)) if values.size else -math.inf
-    if not math.isfinite(top):
-        return top
-    return top + math.log(float(np.sum(np.exp(values - top))))
+def _logsumexp_rows(values: np.ndarray) -> list[float]:
+    """log of each row's sum of exp; row-wise max, exp and sum give each row
+    the bits the same calls give it as a 1-D array."""
+    top = values.max(axis=1)
+    tops = top.tolist()
+    if not all(map(math.isfinite, tops)):
+        top = np.where(np.isfinite(top), top, 0.0)
+    sums = np.exp(values - top[:, None]).sum(axis=1).tolist()
+    return [t + math.log(total) if math.isfinite(t) else t for t, total in zip(tops, sums)]
 
 
 def _s_free_log_terms(n: int, r: float, rho, log_w=0.0):
@@ -225,27 +232,81 @@ def expected_influence_quadrature(n: int, r: float, s: float,
 
         return adaptive_quad(integrand, lo, spec.rho_hi, abs_tol=1e-10)
 
-    log_s = math.log(s)
+    return _influences_on_ladder(n, r, lo, spec.rho_hi, [s])[0]
+
+
+def _influences_on_ladder(n: int, r: float, lo: float, hi: float, s_values) -> list[float]:
+    """E[influence] on [lo, hi] for every s in s_values, on one node ladder.
+
+    Each rung evaluates one (s x nodes) array of log integrands for the s
+    still moving, in blocks of at most _BLOCK entries, and its row-wise
+    log-sum-exp; each s freezes at its own first settled rung, so its value
+    is bit for bit what it gets alone.  The early exit and the convergence
+    error are per s; the error raised is the first s's in order that fails.
+    """
     # chi_n <= 1, F <= 1 and P <= P(lo) on the window, so every node sum is at
     # most (hi - lo) tau_n s P(lo)^(s-1); below the double range it is 0.0 at
     # any node count, where the ladder's absolute log step could never settle.
-    if (math.log(spec.rho_hi - lo) + log_tau_n(n) + log_s
-            + (s - 1.0) * _log_p_max(n, r, lo)) < _LOG_UNDERFLOW:
-        return 0.0
+    log_room = math.log(hi - lo) + log_tau_n(n)
+    log_p_max = _log_p_max(n, r, lo)
+    log_s = [math.log(s) for s in s_values]
+    climbing = [i for i, s in enumerate(s_values)
+                if not log_room + log_s[i] + (s - 1.0) * log_p_max < _LOG_UNDERFLOW]
+    out = [0.0] * len(s_values)
+    if not climbing:
+        return out
+    log_s_col = np.array([log_s[i] for i in climbing])[:, None]
+    s_m1_col = np.array([s_values[i] - 1.0 for i in climbing])[:, None]
 
-    def log_value(nodes):
-        base, log_p = _node_table(n, r, lo, spec.rho_hi, nodes)
-        return _logsumexp(base + log_s + (s - 1.0) * log_p)
+    def log_values(nodes, rows):
+        base, log_p = _node_table(n, r, lo, hi, nodes)
+        step = max(1, _BLOCK // nodes)
+        logs = []
+        for j in range(0, len(rows), step):
+            cut = slice(j, j + step) if len(rows) == len(climbing) else rows[j:j + step]
+            logs += _logsumexp_rows(base + log_s_col[cut] + s_m1_col[cut] * log_p)
+        return logs
 
-    return math.exp(node_ladder(
-        log_value, _NODES, _log_step_settled, _REL_TOL, _GIVE_UP_TOL, _MAX_DOUBLINGS,
-        f"influence quadrature (log values) at (n={n}, r={r}, s={s})"))
+    def what(j):
+        return f"influence quadrature (log values) at (n={n}, r={r}, s={s_values[climbing[j]]})"
+
+    logs = node_ladder(log_values, _NODES, _log_step_settled, _REL_TOL, _GIVE_UP_TOL,
+                       _MAX_DOUBLINGS, what, entries=len(climbing))
+    for i, value in zip(climbing, logs):
+        out[i] = math.exp(value)
+    return out
 
 
 def expected_gsa(n: int, r: float, s: float,
                  spec: QuadratureSpec | None = None) -> float:
     """E[surface area] = E[influence] / r; every boundary point has x.normal = r."""
     return expected_influence_quadrature(n, r, s, spec) / r
+
+
+def _double_range_error(where: str, log_s: float) -> ValueError:
+    return ValueError(
+        f"{where}: ln s = {log_s:.6g} is beyond the double range "
+        f"(s must stay below the largest double, ln s <= {_LOG_MAX:.2f})")
+
+
+def expected_gsa_grid(n: int, r: float, ln_s: np.ndarray) -> np.ndarray:
+    """expected_gsa(n, r, math.exp(g)) for every g in ln_s, on one node ladder.
+
+    Bit for bit the one-point values, early exits and first convergence
+    error included (see _influences_on_ladder); ln s past the double range
+    raises ValueError.
+    """
+    ln_s = np.asarray(ln_s, dtype=float).tolist()
+    if min(ln_s) < 0.0:
+        raise ValueError(f"facet count must be >= 1, got ln s = {min(ln_s)}")
+    if max(ln_s) > _LOG_MAX:
+        raise _double_range_error(f"facet-count grid at (n={n}, r={r})", max(ln_s))
+    spec = QuadratureSpec.for_dimension(n)
+    lo = max(spec.rho_lo, r)
+    if lo >= spec.rho_hi:
+        return np.zeros(len(ln_s))
+    s_values = [math.exp(g) for g in ln_s]
+    return np.array(_influences_on_ladder(n, r, lo, spec.rho_hi, s_values)) / r
 
 
 def choose_s(n: int, r: float, c1: float) -> int:
@@ -263,9 +324,12 @@ def choose_s(n: int, r: float, c1: float) -> int:
     if shell.rho_min <= r:
         raise ValueError(
             f"degenerate shell: inner radius {shell.rho_min} does not clear r={r}")
-    log_f = log_F_dilation(n, r, np.array([shell.rho_min, shell.rho_max]))
-    inf_f = math.exp(float(log_f.min()))
-    return max(1, int(round(c1 / inf_f)))
+    log_inf_f = float(log_F_dilation(n, r, np.array([shell.rho_min, shell.rho_max])).min())
+    log_s = math.log(c1) - log_inf_f
+    if log_s > _LOG_MAX:
+        raise _double_range_error(f"choose_s at (n={n}, r={r}, c1={c1})", log_s)
+    inf_f = math.exp(log_inf_f)
+    return max(1, int(round(c1 / inf_f if inf_f > 0.0 else math.exp(log_s))))
 
 
 def optimal_c1():
@@ -312,8 +376,12 @@ def optimize_s(n: int, r: float):
     scan brackets the peak, golden section refines it.  The bracket is
     centered where s times the cap-complement bound at radius sqrt(n) is
     order one, which is where the integrand stops being killed by either
-    factor.  Every value of s is integrated on the default window, so the
-    ladder's node tables are built once per (n, r) and served from cache.
+    factor.  The 48 values of s share one node ladder (expected_gsa_grid),
+    one (48 x nodes) log-sum-exp per rung, with the one-point values; golden
+    section then integrates one s at a time.  Every value of s is
+    integrated on the default window, so the ladder's node tables are built
+    once per (n, r) and served from cache.  A scan reaching ln s past the
+    double range (about 709.78) raises ValueError.
     """
     if n < 7:
         raise ValueError(f"optimize_s needs n >= 7, got {n}")
@@ -329,7 +397,7 @@ def optimize_s(n: int, r: float):
         lo = max(0.0, -log_g_center - half_width)
         hi = max(lo + 1.0, -log_g_center + half_width)
         grid = np.linspace(lo, hi, _COARSE_GRID)
-        vals = np.array([objective(g) for g in grid])
+        vals = expected_gsa_grid(n, r, grid)
         k = int(np.argmax(vals))
         if 0 < k < _COARSE_GRID - 1 or (k == 0 and lo == 0.0):
             break
@@ -343,15 +411,16 @@ def optimize_s(n: int, r: float):
     return s_star, expected_gsa(n, r, float(s_star))
 
 
-def _refined_min(f, xs: np.ndarray, vals: np.ndarray) -> float:
+def _refined_min(f, xs: np.ndarray, vals: np.ndarray, f_batch=None) -> float:
     """Minimum of f over [xs[0], xs[-1]] given its values vals on the grid xs.
 
     Golden search refines the two cells around the grid argmin, at a shell
-    edge as well as inside; the grid value wins when it is lower.
+    edge as well as inside; the grid value wins when it is lower.  f_batch,
+    f on an array of radii, lets the search price its probes in batches.
     """
     k = int(np.argmin(vals))
     _, fx = golden_section_min(f, xs[max(0, k - 1)], xs[min(xs.size - 1, k + 1)],
-                               tol=_SHELL_TOL)
+                               tol=_SHELL_TOL, f_batch=f_batch)
     return float(vals[k]) if vals[k] < fx else fx
 
 
@@ -413,10 +482,13 @@ def lower_bound_chain(n: int, r: float, s: float) -> LowerBoundReport:
     the shell.  inf F, inf G, sup G, v3, v4 and the stitch factor can only
     sit at a shell edge (see _shell_edge_reads) and are read from there.
     v1 and v2 can have an interior minimum: golden search to 1e-9 refines
-    the two grid cells around each grid argmin.  At s = 1 the (s - 1) power
-    terms are exactly 0, also where log(1 - G) is -inf.  Any ordering
-    violation beyond 1e-10 relative slack raises.  chain_value is v2,
-    bernoulli_value is v4.
+    the two grid cells around each grid argmin.  v2 is closed-form, so its
+    search prices the probes of four steps ahead in one call; v1's runs one
+    radius at a time, each log P a one-point continued fraction (the array
+    loop keeps iterating converged points, which would change bits).  At
+    s = 1 the (s - 1) power terms are exactly 0, also where log(1 - G) is
+    -inf.  Any ordering violation beyond 1e-10 relative slack raises.
+    chain_value is v2, bernoulli_value is v4.
     """
     exact = expected_influence_quadrature(n, r, s)
     shell = shell_for(n)
@@ -428,7 +500,7 @@ def lower_bound_chain(n: int, r: float, s: float) -> LowerBoundReport:
         nodes=128, rel_tol=1e-12)
     log_vol = math.log(vol_shell)
 
-    # Each term takes one radius (for golden search) or the whole grid.
+    # Each term takes one radius or an array of radii (the grid, v2's probes).
     def lF(rho):
         return log_F_dilation(n, r, rho)
 
@@ -447,6 +519,9 @@ def lower_bound_chain(n: int, r: float, s: float) -> LowerBoundReport:
     def v2(lf, l1mg):
         return log_s + lf + power(l1mg)
 
+    def v2_at(rho):  # closed form: one radius or many give the same bits
+        return v2(lF(rho), _log_1m_g(lG(rho)))
+
     xs = np.linspace(shell.rho_min, shell.rho_max, _SHELL_GRID)
     LF, LG, LP = lF(xs), lG(xs), lP(xs)
     L1mG = _log_1m_g(LG)
@@ -456,8 +531,7 @@ def lower_bound_chain(n: int, r: float, s: float) -> LowerBoundReport:
     log_c1 = log_s + log_inf_F
 
     log_v1 = log_vol + _refined_min(lambda rho: v1(lF(rho), lP(rho)), xs, v1(LF, LP))
-    log_v2 = log_vol + log_tau + _refined_min(
-        lambda rho: v2(lF(rho), _log_1m_g(lG(rho))), xs, v2(LF, L1mG))
+    log_v2 = log_vol + log_tau + _refined_min(v2_at, xs, v2(LF, L1mG), f_batch=v2_at)
     log_v3 = log_vol + log_tau + log_c1 + log_1mG_s
     log_v4 = log_vol + log_tau + log_c1 + log_stitch
 
@@ -527,28 +601,3 @@ def ball_influence_quadrature(n: int, R: float) -> float:
         return np.exp(chi_log_density(n, rho)) * (n - rho**2)
 
     return integrate_doubling(integrand, 0.0, R, nodes=64, rel_tol=1e-12)
-
-
-def expected_influence_naz_prime(n: int, w: float, s: float) -> float:
-    """E[influence] for the Gaussian-normal variant, by the same reduction.
-
-    A point at radius rho survives one Gaussian halfspace {x.g <= w} with
-    probability Phi(w/rho), so E[influence] integrates
-    chi_n(rho) Phi(w/rho)^s (n - rho^2).  The sign change of (n - rho^2)
-    keeps this one out of pure log space; the survival factor is still
-    assembled as s * log Phi.
-    """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    if not w > 0.0:
-        raise ValueError(f"offset w must be > 0, got {w}")
-    if not s >= 1.0:
-        raise ValueError(f"facet count must be >= 1, got {s}")
-    spec = QuadratureSpec.for_dimension(n)
-    lo = max(spec.rho_lo, 1e-9)
-
-    def integrand(rho):
-        log_surv = s * np.array([log_gaussian_cdf(w / p) for p in rho])
-        return np.exp(chi_log_density(n, rho) + log_surv) * (n - rho**2)
-
-    return integrate_doubling(integrand, lo, spec.rho_hi, nodes=_NODES, rel_tol=1e-10)

@@ -3,7 +3,9 @@
 Everything downstream (cap measures, the radial pipeline) leans on these
 primitives, so they are kept exact and log-space friendly.  The Gaussian
 tail, Mills-ratio, gamma and tau_n helpers take one number; log1mexp and
-chi_log_density are vectorized and return a float for a scalar argument.  Large
+chi_log_density are vectorized and return a float for a scalar argument.
+branchwise is the branch dispatch of log1mexp and of cap's vectorized
+functions: an array that takes one branch skips the masks.  Large
 exponents appear as soon as the halfspace count s gets big, hence the rule:
 compute in logs first, exponentiate last.
 """
@@ -94,6 +96,25 @@ def log_tau_n(n: int) -> float:
     return log_gamma(n / 2.0) - log_gamma((n - 1) / 2.0) - 0.5 * math.log(math.pi)
 
 
+def branchwise(cases, args):
+    """Evaluate one formula per branch over 1-D arrays of one shape.
+
+    cases holds (mask, formula) pairs with disjoint boolean masks; a formula
+    takes the arrays of args cut to its mask, and elements no mask covers
+    are -inf.  When one mask covers every element its formula runs on the
+    whole arrays, with no fill, mask cuts or assignment: the cut arrays
+    would be the whole arrays, so the result has the same bits.
+    """
+    for mask, formula in cases:
+        if mask.all():
+            return formula(*args)
+    out = np.full(args[0].shape, -np.inf)
+    for mask, formula in cases:
+        if mask.any():
+            out[mask] = formula(*(arg[mask] for arg in args))
+    return out
+
+
 def log1mexp(q):
     """log(1 - exp(q)) for q <= 0, split at -ln 2 for precision.
 
@@ -101,11 +122,10 @@ def log1mexp(q):
     """
     scalar = np.isscalar(q)
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    out = np.full(q.shape, -np.inf)
     near = q > -math.log(2.0)
     with np.errstate(divide="ignore"):
-        out[near] = np.log(-np.expm1(q[near]))
-        out[~near] = np.log1p(-np.exp(q[~near]))
+        out = branchwise([(near, lambda v: np.log(-np.expm1(v))),
+                          (~near, lambda v: np.log1p(-np.exp(v)))], (q,))
     return float(out[0]) if scalar else out
 
 

@@ -236,3 +236,73 @@ def test_dilation_vs_complement_bound_shrinking_gap():
         eps.append(1.0 - math.exp(float(log_ratio.min())) / target)
     assert all(0.0 < e < 1.0 for e in eps)
     assert eps[0] > eps[1] > eps[2]
+
+
+def test_log_betainc_reg_domain_edge():
+    # np.isclose(x, 0)'s default reach: within 1e-8 below 0 reads as 0
+    assert cap.log_betainc_reg(1.5, 0.5, -5e-9) == -math.inf
+    with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
+        cap.log_betainc_reg(1.5, 0.5, -2e-8)
+    with pytest.raises(ValueError):
+        cap.log_betainc_reg(1.5, 0.5, np.array([0.5, 1.0 + 2e-12]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(4, 100_000), direct=st.floats(0.0, 1.0), flipped=st.floats(0.0, 1.0),
+       edges=st.lists(st.sampled_from([-5e-9, 0.0, 1.0, 1.0 + 1e-12]), max_size=3),
+       order=st.randoms(use_true_random=False))
+def test_log_betainc_reg_mixed_branches_are_one_point_calls(n, direct, flipped, edges, order):
+    # one x on each side of the flip point, plus edge values: every branch
+    # holds at most one x, so each continued fraction is a one-point one
+    a, b = (n - 1) / 2.0, 0.5
+    thresh = (a + 1.0) / (a + b + 2.0)
+    xs = [thresh * direct * (1.0 - 1e-12), thresh + (1.0 - thresh) * flipped * (1.0 - 1e-12)]
+    xs += edges
+    order.shuffle(xs)
+    got = cap.log_betainc_reg(a, b, np.array(xs))
+    assert got.tolist() == [cap.log_betainc_reg(a, b, x) for x in xs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(4, 100_000), side=st.sampled_from(["direct", "flipped"]),
+       fractions=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                          min_size=1, max_size=6))
+def test_log_betainc_reg_one_branch_array_is_the_masked_evaluation(n, side, fractions):
+    # a one-branch array runs its formula on the whole array; planting x = 1
+    # forces the masks, which cut out the very same array
+    a, b = (n - 1) / 2.0, 0.5
+    thresh = (a + 1.0) / (a + b + 2.0)
+    low, high = (0.0, thresh) if side == "direct" else (thresh, 1.0)
+    x = np.array([low + (high - low) * f for f in fractions])
+    x = x[(x > low if side == "direct" else x >= low) & (x < high)]
+    if x.size:
+        masked = cap.log_betainc_reg(a, b, np.append(x, 1.0))
+        assert cap.log_betainc_reg(a, b, x).tolist() == masked[:-1].tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(4, 100_000), inside=st.floats(0.0, 1.0, exclude_max=True),
+       outside=st.lists(st.floats(1.0, 4.0), max_size=4), at=st.integers(0, 4))
+def test_cap_complement_mixed_branches_are_one_point_calls(n, inside, outside, at):
+    u = outside[:at] + [inside] + outside[at:]
+    got = cap.cap_log_complement_from_ratio(n, np.array(u))
+    assert got.tolist() == [cap.cap_log_complement_from_ratio(n, v) for v in u]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(4, 100_000),
+       us=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=6))
+def test_cap_complement_one_branch_array_is_the_masked_evaluation(n, us):
+    u = np.array(us)
+    masked = cap.cap_log_complement_from_ratio(n, np.append(u, 2.0))
+    assert cap.cap_log_complement_from_ratio(n, u).tolist() == masked[:-1].tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 100_000), r=st.floats(0.1, 20.0),
+       ratios=st.lists(st.floats(0.05, 4.0), min_size=1, max_size=8))
+def test_log_F_dilation_array_is_its_one_point_calls(n, r, ratios):
+    # rho <= r (F = 0) and rho > r, mixed or one alone: the same bits
+    rho = [r * q for q in ratios]
+    got = cap.log_F_dilation(n, r, np.array(rho))
+    assert got.tolist() == [cap.log_F_dilation(n, r, p) for p in rho]

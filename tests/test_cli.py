@@ -172,6 +172,16 @@ def test_arithmetic_failure_exits_one(command, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [["optimize", "--n", "10000000"],
+                                  ["scan", "--n", "1000000", "--alpha", "1.5"]])
+def test_facet_count_past_the_double_range_is_a_clear_error(argv, capsys):
+    # these used to stop on ZeroDivisionError and OverflowError ('math range
+    # error'); s beyond the largest double is now a ValueError that says so
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "ln s = " in err and "double range" in err
+
+
 def test_selftest_passes():
     assert run(["selftest"]) == 0
 
@@ -184,7 +194,8 @@ def test_selftest_writes_its_report(tmp_path):
     jsonschema.validate(doc, load_schema())
     assert doc["command"] == "selftest"
     assert [row["name"] for row in doc["rows"]] == [name for name, _ in cli._selftest_checks()]
-    assert {"betacf-scalar-path", "shell-edge-infima"} <= {row["name"] for row in doc["rows"]}
+    assert {"betacf-scalar-path", "shell-edge-infima", "batched-s-grid"} <= {
+        row["name"] for row in doc["rows"]}
     assert all(row["value"] == 1.0 and row["seconds"] >= 0.0 for row in doc["rows"])
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "name,value,seconds,schema_version"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsalab import quadrature
 from gsalab.golden import golden_section_max, golden_section_min
@@ -120,3 +122,90 @@ def test_node_ladder_budget_and_give_up():
     with pytest.raises(QuadratureConvergenceError, match="1/m did not stabilize") as err:
         ladder(1e-3)
     assert err.value.history == [(m, 1.0 / m) for m in (16, 32, 64, 128, 256)]
+
+
+def test_node_ladder_entries_settle_one_by_one():
+    # entry i moves by 2^-(i + 2) / m per doubling; each freezes at its own
+    # first settled step, with the value and ladder it gets alone
+    def settled(prev, val, tol):
+        return abs(val - prev) <= tol
+
+    def rule(i, m):
+        return 2.0**-(i + 1) / m
+
+    seen = []
+
+    def evaluate(m, live):
+        seen.append((m, list(live)))
+        return [rule(i, m) for i in live]
+
+    got = node_ladder(evaluate, 16, settled, 2e-3, 1e-9, 6, "rule", entries=3)
+    alone = [node_ladder(lambda m, i=i: rule(i, m), 16, settled, 2e-3, 1e-9, 6, "rule")
+             for i in range(3)]
+    assert got == alone
+    assert seen == [(16, [0, 1, 2]), (32, [0, 1, 2]), (64, [0, 1, 2]), (128, [0, 1]),
+                    (256, [0])]
+
+
+def test_node_ladder_entries_raise_the_first_failure():
+    # entries 1 and 2 never settle; the error is entry 1's, as raised alone
+    def settled(prev, val, tol):
+        return abs(val - prev) <= tol
+
+    def rule(i, m):
+        return 0.0 if i == 0 else i / m
+
+    with pytest.raises(QuadratureConvergenceError) as alone:
+        node_ladder(lambda m: rule(1, m), 16, settled, 1e-9, 1e-9, 4, "entry 1")
+    with pytest.raises(QuadratureConvergenceError) as batched:
+        node_ladder(lambda m, live: [rule(i, m) for i in live], 16, settled, 1e-9, 1e-9,
+                    4, lambda i: f"entry {i}", entries=3)
+    assert str(batched.value) == str(alone.value)
+    assert batched.value.history == alone.value.history
+
+
+def unimodal(peak, width, power):
+    # one objective, vectorized and pointwise with the same bits at each point
+    def f_batch(ts):
+        return -np.abs((ts - peak) / width) ** power
+
+    return (lambda t: float(f_batch(np.array([t]))[0])), f_batch
+
+
+@settings(max_examples=200, deadline=None)
+@given(peak=st.floats(-5.0, 5.0), width=st.floats(0.01, 10.0), power=st.floats(0.5, 4.0),
+       lo=st.floats(-6.0, 0.0), span=st.floats(1e-3, 12.0), log_tol=st.floats(-12.0, -1.0))
+def test_lookahead_golden_walks_the_classic_probe_sequence(peak, width, power, lo, span,
+                                                           log_tol):
+    f, f_batch = unimodal(peak, width, power)
+    probes = []
+
+    def recorded(t):
+        probes.append(t)
+        return f(t)
+
+    batched_points = []
+
+    def recorded_batch(ts):
+        batched_points.extend(ts.tolist())
+        return f_batch(ts)
+
+    tol = 10.0**log_tol
+    classic = golden_section_max(recorded, lo, lo + span, tol=tol)
+    final = len(probes)
+    lookahead = golden_section_max(recorded, lo, lo + span, tol=tol, f_batch=recorded_batch)
+    assert lookahead == classic
+    assert set(probes[:final - 1]) <= set(batched_points)  # the same probes, priced ahead
+    assert probes[final:] == [probes[final - 1]]  # only the final f(x) runs pointwise
+    assert golden_section_min(lambda t: -f(t), lo, lo + span, tol=tol,
+                              f_batch=lambda ts: -f_batch(ts)) == (classic[0], -classic[1])
+
+
+def test_lookahead_golden_raises_when_max_iter_runs_out():
+    f, f_batch = unimodal(0.3, 1.0, 2.0)
+    messages = []
+    for kwargs in ({}, {"f_batch": f_batch}):
+        with pytest.raises(RuntimeError, match="failed to shrink") as err:
+            golden_section_max(f, 0.0, 1.0, tol=1e-12, max_iter=9, **kwargs)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gsalab import cap, estimators, polytope, radial, specfun
 from gsalab.cap import log_complement_upper_from_ratio, log_F_dilation
 from gsalab.polytope import NazParams
+from gsalab.quadrature import QuadratureConvergenceError, integrate_doubling
 from gsalab.radial import (ChainViolationError, QuadratureSpec, choose_s,
                            expected_gsa, expected_influence_quadrature,
                            lower_bound_chain, optimal_c1, optimize_s, scan_report,
@@ -294,12 +295,31 @@ def test_log_integrand_extremes_stay_representable():
         assert value < math.inf
 
 
+def naz_prime_influence(n, w, s):
+    """E[influence] of the Gaussian-normal variant by the radial reduction.
+
+    A point at radius rho survives one Gaussian halfspace {x.g <= w} with
+    probability Phi(w/rho), so E[influence] integrates
+    chi_n(rho) Phi(w/rho)^s (n - rho^2) over the default window.  The sign
+    change of (n - rho^2) keeps this one out of pure log space; the survival
+    factor is still assembled as s * log Phi.
+    """
+    spec = QuadratureSpec.for_dimension(n)
+
+    def integrand(rho):
+        log_surv = s * np.array([specfun.log_gaussian_cdf(w / p) for p in rho])
+        return np.exp(specfun.chi_log_density(n, rho) + log_surv) * (n - rho**2)
+
+    return integrate_doubling(integrand, max(spec.rho_lo, 1e-9), spec.rho_hi,
+                              nodes=128, rel_tol=1e-10)
+
+
 def test_naz_prime_expected_influence_scales_like_sqrt_n():
     # Gaussian-normal variant at w = n^(3/4) with s = exp(Theta(sqrt(n)))
     for n in (64, 256, 1024):
         w = n**0.75
         s = max(1.0, round(1.0 / specfun.gaussian_tail(n**0.25)))
-        value = radial.expected_influence_naz_prime(n, w, s)
+        value = naz_prime_influence(n, w, s)
         assert value / math.sqrt(n) >= 0.25, (n, value)
 
 
@@ -311,7 +331,7 @@ def test_naz_prime_quadrature_against_mc():
         K = polytope.sample_naz_prime(params, seed=60_000 + d)
         values[d] = estimators.estimate_influence_spectral(K, 20_000, seed=61_000 + d).value
     stderr = values.std(ddof=1) / math.sqrt(values.size)
-    quad = radial.expected_influence_naz_prime(n, w, float(s))
+    quad = naz_prime_influence(n, w, float(s))
     assert abs(values.mean() - quad) <= 4 * stderr
 
 
@@ -481,3 +501,129 @@ def test_refined_min_interior_argmin():
     got = radial._refined_min(lambda t: abs(t - math.pi), xs, vals)
     assert 0.0 <= got < vals.min()
     assert got == pytest.approx(0.0, abs=1e-9)
+
+
+def coarse_grid(n, alpha, widen):
+    # optimize_s's ln s grid at bracket attempt `widen` (the half width doubles)
+    r = alpha * n**0.25
+    center = -float(log_complement_upper_from_ratio(n, r / math.sqrt(n)))
+    half_width = math.log(1e3) * 2.0**widen
+    lo = max(0.0, center - half_width)
+    return r, np.linspace(lo, max(lo + 1.0, center + half_width), radial._COARSE_GRID)
+
+
+def assert_grid_is_one_point_grid(n, r, grid):
+    try:
+        want = [expected_gsa(n, r, math.exp(g)) for g in grid]
+    except QuadratureConvergenceError as exc:
+        with pytest.raises(QuadratureConvergenceError) as err:
+            radial.expected_gsa_grid(n, r, grid)
+        assert str(err.value) == str(exc)
+        assert err.value.history == exc.history
+        return None
+    got = radial.expected_gsa_grid(n, r, grid)
+    assert got.tolist() == want
+    return got
+
+
+@settings(max_examples=25, deadline=None)
+@given(log_n=st.floats(math.log(7), math.log(100_000)), alpha=st.floats(0.5, 1.5),
+       widen=st.integers(0, 1))
+def test_batched_s_grid_is_the_one_point_grid(log_n, alpha, widen):
+    n = int(round(math.exp(log_n)))
+    assert_grid_is_one_point_grid(n, *coarse_grid(n, alpha, widen))
+
+
+@pytest.mark.parametrize("n, alpha, widen, exits", [
+    (1000, 0.5, 1, 1), (1000, 0.5, 2, 20), (100_000, 0.5, 1, 7)])
+def test_batched_s_grid_keeps_the_underflow_exit(monkeypatch, n, alpha, widen, exits):
+    # the top of a widened grid lies below the double range: those s are 0.0
+    # without entering the ladder (the next s or so reach 0.0 through it)
+    entries = []
+    ladder = radial.node_ladder
+
+    def spy(*args, **kwargs):
+        entries.append(kwargs["entries"])
+        return ladder(*args, **kwargs)
+
+    r, grid = coarse_grid(n, alpha, widen)
+    want = [expected_gsa(n, r, math.exp(g)) for g in grid]
+    monkeypatch.setattr(radial, "node_ladder", spy)
+    got = radial.expected_gsa_grid(n, r, grid)
+    assert got.tolist() == want
+    assert entries == [radial._COARSE_GRID - exits]
+    assert got[-exits:].tolist() == [0.0] * exits
+
+
+def test_batched_s_grid_settles_each_s_at_its_own_rung(monkeypatch):
+    # at (4096, 1.0) some s settle at 256 nodes, the rest need a third rung;
+    # only the s still moving are evaluated there
+    rows = []
+    ladder = radial.node_ladder
+
+    def spy(evaluate, *args, **kwargs):
+        def recorder(m, live):
+            rows.append((m, len(live)))
+            return evaluate(m, live)
+        return ladder(recorder, *args, **kwargs)
+
+    monkeypatch.setattr(radial, "node_ladder", spy)
+    assert_grid_is_one_point_grid(4096, *coarse_grid(4096, 1.0, 0))
+    batched = [entry for entry in rows if entry[1] > 1]
+    assert batched[:2] == [(128, 48), (256, 48)]
+    assert batched[2][0] == 512 and 0 < batched[2][1] < 48
+
+
+def test_batched_s_grid_raises_the_first_failing_s():
+    # at n = 7 the widened grid's large s do not settle (ROADMAP item 2); the
+    # error is the one the first of them raises alone, ladder included
+    assert assert_grid_is_one_point_grid(7, *coarse_grid(7, 1.5, 2)) is None
+
+
+def test_optimize_s_runs_one_ladder_for_its_grid(monkeypatch):
+    # one ladder for the 48 grid values, 31 for golden section, 1 for s*;
+    # one ladder per grid value made it 80
+    calls = []
+    ladder = radial.node_ladder
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("entries"))
+        return ladder(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "node_ladder", spy)
+    optimize_s(4096, 4096**0.25)
+    assert len(calls) == 33
+    assert calls.count(48) == 1
+
+
+def test_facet_counts_past_the_double_range_raise_value_error():
+    # ln s is about 1644 for the selection rule at n = 1e7 and about 1130 at
+    # the optimum of (1e6, alpha = 1.5); s would not fit in a double
+    c1_star, _ = optimal_c1()
+    with pytest.raises(ValueError, match=r"ln s = 1643\.\d+ is beyond the double range"):
+        choose_s(10_000_000, 10_000_000**0.25, c1_star)
+    with pytest.raises(ValueError, match=r"ln s = 11\d\d\.\d+ is beyond the double range"):
+        optimize_s(1_000_000, 1.5 * 1_000_000**0.25)
+    with pytest.raises(ValueError, match="facet count must be >= 1"):
+        radial.expected_gsa_grid(64, 2.0, np.array([-0.5, 1.0]))
+
+
+def test_v2_refinement_prices_probes_in_batches(monkeypatch):
+    # v2 is closed-form: its golden search evaluates the 30 probes of four
+    # steps ahead per call; v1 stays one radius at a time
+    batches = []
+    search = radial.golden_section_min
+
+    def recorder(f, lo, hi, **kwargs):
+        if kwargs.get("f_batch") is not None:
+            f_batch = kwargs["f_batch"]
+
+            def counted(ts):
+                batches.append(ts.size)
+                return f_batch(ts)
+            kwargs["f_batch"] = counted
+        return search(f, lo, hi, **kwargs)
+
+    monkeypatch.setattr(radial, "golden_section_min", recorder)
+    lower_bound_chain(1024, 1024**0.25, 2000.0)
+    assert batches and batches[0] == 32 and set(batches[1:]) == {30}

@@ -147,3 +147,21 @@ def test_log_gaussian_cdf_deep_tail():
     for t in [-5.0, -10.0, -30.0, -60.0]:
         assert specfun.log_gaussian_cdf(t) == pytest.approx(
             float(norm.logcdf(t)), rel=1e-10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.floats(-60.0, 0.0), st.sampled_from([-math.inf, 0.0])),
+                min_size=1, max_size=8))
+def test_log1mexp_array_is_its_one_point_calls(qs):
+    # near (q > -ln 2) and far branches, mixed or one alone: the same bits
+    got = specfun.log1mexp(np.array(qs))
+    assert got.tolist() == [specfun.log1mexp(q) for q in qs]
+
+
+def test_branchwise_fills_uncovered_elements_and_skips_masks_for_one_branch():
+    x = np.array([1.0, 2.0, 3.0])
+    cases = [(x > 1.5, lambda v: 10 * v)]
+    assert specfun.branchwise(cases, (x,)).tolist() == [-math.inf, 20.0, 30.0]
+    seen = []
+    specfun.branchwise([(x > 0.0, lambda v: seen.append(v) or v)], (x,))
+    assert seen[0] is x  # the whole array, not a masked copy
