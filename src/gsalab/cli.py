@@ -297,15 +297,6 @@ def _selftest_checks():
         q = cap.CapQuery(2, 1.0, 1.0 / math.sqrt(2.0))
         assert abs(cap.cap_probability(q) - 0.75) <= 1e-12
 
-    def betacf_scalar_path():
-        # a one-element x runs on Python floats, two elements the array loop;
-        # the two must agree bit for bit on the convergent side of each order
-        for a, b, x in ((1.5, 0.5, 0.3), (0.5, 1.5, 0.2), (511.5, 0.5, 0.99),
-                        (0.5, 511.5, 0.002), (49999.5, 0.5, 0.5), (0.5, 49999.5, 1e-5)):
-            one = cap._betacf(a, b, np.array([x]))[0]
-            two = cap._betacf(a, b, np.array([x, x]))[0]
-            assert one == two, f"paths differ at a={a}, b={b}, x={x}: {one!r} vs {two!r}"
-
     def mills_grid():
         for t in np.arange(1.0, 8.05, 0.1):
             sandwich = specfun.mills_sandwich(float(t))
@@ -401,7 +392,6 @@ def _selftest_checks():
     return [
         ("cap-route-agreement", cap_routes),
         ("cap-closed-forms", cap_closed_forms),
-        ("betacf-scalar-path", betacf_scalar_path),
         ("mills-sandwich-grid", mills_grid),
         ("tau-identities", tau_identities),
         ("chi-normalization", chi_normalization),

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from gsalab import cap, estimators, polytope, radial, rng, specfun
+from gsalab import cap, estimators, polytope, rng, specfun
 from gsalab.estimators import (Estimate, estimate_gsa_facets, estimate_hermite_2ei,
                                estimate_hermite_coefficients,
                                estimate_influence_spectral, estimate_volume,
                                influence_from_hermite_estimates)
 from gsalab.polytope import Ball, HalfspacePolytope, NazParams
+
+from oracles import ball_influence_quadrature
 
 
 def slab_1d(theta):
@@ -76,7 +78,7 @@ def test_influence_spectral_full_space():
 @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
 def test_influence_spectral_ball_oracle(n, R):
     est = estimate_influence_spectral(Ball(n=n, radius=R), 200_000, seed=n * 10 + int(2 * R))
-    oracle = radial.ball_influence_quadrature(n, R)
+    oracle = ball_influence_quadrature(n, R)
     assert combined_gate(est, oracle), (n, R, est.value, oracle)
 
 

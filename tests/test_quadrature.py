@@ -2,11 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gsalab import quadrature
-from gsalab.golden import golden_section_max, golden_section_min
+from gsalab.golden import golden_section_max
 from gsalab.quadrature import (QuadratureConvergenceError, adaptive_quad,
                                composite_nodes, integrate_doubling, node_ladder)
 
@@ -100,7 +98,7 @@ def test_golden_section_quadratic():
 
 
 def test_golden_section_min_cos():
-    x, _ = golden_section_min(math.cos, 2.0, 4.5, tol=1e-12)
+    x, _ = golden_section_max(lambda t: -math.cos(t), 2.0, 4.5, tol=1e-12)
     assert x == pytest.approx(math.pi, abs=1e-6)
 
 
@@ -164,48 +162,6 @@ def test_node_ladder_entries_raise_the_first_failure():
     assert batched.value.history == alone.value.history
 
 
-def unimodal(peak, width, power):
-    # one objective, vectorized and pointwise with the same bits at each point
-    def f_batch(ts):
-        return -np.abs((ts - peak) / width) ** power
-
-    return (lambda t: float(f_batch(np.array([t]))[0])), f_batch
-
-
-@settings(max_examples=200, deadline=None)
-@given(peak=st.floats(-5.0, 5.0), width=st.floats(0.01, 10.0), power=st.floats(0.5, 4.0),
-       lo=st.floats(-6.0, 0.0), span=st.floats(1e-3, 12.0), log_tol=st.floats(-12.0, -1.0))
-def test_lookahead_golden_walks_the_classic_probe_sequence(peak, width, power, lo, span,
-                                                           log_tol):
-    f, f_batch = unimodal(peak, width, power)
-    probes = []
-
-    def recorded(t):
-        probes.append(t)
-        return f(t)
-
-    batched_points = []
-
-    def recorded_batch(ts):
-        batched_points.extend(ts.tolist())
-        return f_batch(ts)
-
-    tol = 10.0**log_tol
-    classic = golden_section_max(recorded, lo, lo + span, tol=tol)
-    final = len(probes)
-    lookahead = golden_section_max(recorded, lo, lo + span, tol=tol, f_batch=recorded_batch)
-    assert lookahead == classic
-    assert set(probes[:final - 1]) <= set(batched_points)  # the same probes, priced ahead
-    assert probes[final:] == [probes[final - 1]]  # only the final f(x) runs pointwise
-    assert golden_section_min(lambda t: -f(t), lo, lo + span, tol=tol,
-                              f_batch=lambda ts: -f_batch(ts)) == (classic[0], -classic[1])
-
-
 def test_lookahead_golden_raises_when_max_iter_runs_out():
-    f, f_batch = unimodal(0.3, 1.0, 2.0)
-    messages = []
-    for kwargs in ({}, {"f_batch": f_batch}):
-        with pytest.raises(RuntimeError, match="failed to shrink") as err:
-            golden_section_max(f, 0.0, 1.0, tol=1e-12, max_iter=9, **kwargs)
-        messages.append(str(err.value))
-    assert messages[0] == messages[1]
+    with pytest.raises(RuntimeError, match="failed to shrink"):
+        golden_section_max(lambda t: -(t - 0.3) ** 2, 0.0, 1.0, tol=1e-12, max_iter=9)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsalab import cap, estimators, polytope, radial, specfun
+from gsalab import cap, estimators, golden, polytope, radial, specfun
 from gsalab.cap import log_complement_upper_from_ratio, log_F_dilation
 from gsalab.polytope import NazParams
 from gsalab.quadrature import QuadratureConvergenceError, integrate_doubling
@@ -390,21 +390,6 @@ def test_chain_frozen_regression(n, alpha):
     assert dataclasses.astuple(rep) == CHAIN_FROZEN[(n, alpha)]
 
 
-def test_chain_runs_golden_search_for_v1_and_v2_only(monkeypatch):
-    # inf F, inf G, sup G, v3, v4 and the stitch factor are read at a shell
-    # edge; golden search used to refine all eight infima
-    searches = []
-    search = radial.golden_section_min
-
-    def counter(*args, **kwargs):
-        searches.append(args[1:3])
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(radial, "golden_section_min", counter)
-    lower_bound_chain(1024, 1024**0.25, 2000.0)
-    assert len(searches) == 2
-
-
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(4, 100_000), alpha=st.floats(0.05, 2.0),
        s=st.one_of(st.just(1.0), st.floats(1.0, 1e12)))
@@ -447,8 +432,9 @@ def test_chain_at_one_facet_is_not_nan(n, alpha):
 
 def test_chain_evaluates_the_exact_complement_on_one_grid(monkeypatch):
     # log P is the chain's costly integrand: one call covers the whole shell
-    # grid, the rest are v1's golden refinement and the quadrature's node
-    # tables; evaluating it point by point took 552 calls
+    # grid, one is the quadrature's early-exit bound at the window's lower
+    # edge and the rest are its node tables; evaluating it point by point
+    # took 552 calls, and a golden refinement of v1 added 39 one-point calls
     calls = []
     exact = radial.cap_log_complement_from_ratio
 
@@ -456,51 +442,57 @@ def test_chain_evaluates_the_exact_complement_on_one_grid(monkeypatch):
         calls.append(np.size(u))
         return exact(n, u)
 
+    radial._node_table.cache_clear()
+    radial._log_p_max.cache_clear()
     monkeypatch.setattr(radial, "cap_log_complement_from_ratio", recorder)
     lower_bound_chain(1024, 1024**0.25, 2000.0)
-    assert len(calls) < 64
     assert calls.count(513) == 1
+    assert calls.count(1) == 1
+    tables = [size for size in calls if size not in (1, 513)]
+    assert tables and all(size in {128 << k for k in range(13)} for size in tables)
 
 
-def test_chain_runs_one_point_continued_fractions_on_floats(monkeypatch):
-    # v1's golden refinement evaluates log P one radius at a time; those
-    # continued fractions take the Python-float path, the grid the array loop
-    scalar_calls = []
-    paths = []
-    betacf, betacf_scalar = cap._betacf, cap._betacf_scalar
+def test_chain_runs_no_golden_search(monkeypatch):
+    # v1 and v2 are grid minima; a golden refinement of each made 2 searches
+    searches = []
 
-    def scalar_recorder(a, b, x):
-        scalar_calls.append(x)
-        return betacf_scalar(a, b, x)
+    def spy(search):
+        def counted(*args, **kwargs):
+            searches.append(args[1:3])
+            return search(*args, **kwargs)
+        return counted
 
-    def recorder(a, b, x):
-        before = len(scalar_calls)
-        out = betacf(a, b, x)
-        paths.append((np.size(x), len(scalar_calls) - before))
-        return out
-
-    monkeypatch.setattr(cap, "_betacf_scalar", scalar_recorder)
-    monkeypatch.setattr(cap, "_betacf", recorder)
+    monkeypatch.setattr(golden, "golden_section_max", spy(golden.golden_section_max))
+    monkeypatch.setattr(radial, "golden_section_max", spy(radial.golden_section_max))
     lower_bound_chain(1024, 1024**0.25, 2000.0)
-    one_point = [took for size, took in paths if size == 1]
-    assert len(one_point) > 10
-    assert all(took == 1 for took in one_point)
-    assert [took for size, took in paths if size == 513] == [0]
+    assert searches == []
 
 
-def test_refined_min_at_an_edge_keeps_the_grid_value():
-    # the minimum of t on [1, 2] sits on the grid's first point; golden search
-    # on the first cell can only come close, so the grid value wins
-    xs = np.linspace(1.0, 2.0, 11)
-    assert radial._refined_min(lambda t: t, xs, xs.copy()) == 1.0
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(4, 100_000), alpha=st.floats(0.05, 2.0),
+       s=st.one_of(st.just(1.0), st.floats(1.0, 1e12)))
+def test_v1_and_v2_grid_minima_sit_at_a_shell_edge(n, alpha, s):
+    # the premise for taking v1 and v2 as grid minima: wherever their minimum
+    # over the shell grid is finite it is an edge value, so the grid shows no
+    # interior dip for a finer search to refine; -inf minima (F = 0 below r,
+    # G >= 1) are exact at any resolution
+    r = alpha * n**0.25
+    shell = shell_for(n)
+    xs = np.linspace(shell.rho_min, shell.rho_max, radial._SHELL_GRID)
+    log_f = log_F_dilation(n, r, xs)
+    log_p = specfun.log1mexp(cap.cap_log_complement_from_ratio(n, r / xs))
+    log_1m_g = specfun.log1mexp(np.minimum(log_complement_upper_from_ratio(n, r / xs), 0.0))
 
+    def power(log_base):
+        return (s - 1.0) * log_base if s != 1.0 else 0.0
 
-def test_refined_min_interior_argmin():
-    xs = np.linspace(0.0, 10.0, 513)
-    vals = np.abs(xs - math.pi)
-    got = radial._refined_min(lambda t: abs(t - math.pi), xs, vals)
-    assert 0.0 <= got < vals.min()
-    assert got == pytest.approx(0.0, abs=1e-9)
+    log_s = math.log(s)
+    for vals in (log_s + specfun.log_tau_n(n) + log_f + power(log_p),
+                 log_s + log_f + power(log_1m_g)):
+        low = float(vals.min())
+        assert not math.isnan(low)
+        if math.isfinite(low):
+            assert low in (float(vals[0]), float(vals[-1]))
 
 
 def coarse_grid(n, alpha, widen):
@@ -606,24 +598,3 @@ def test_facet_counts_past_the_double_range_raise_value_error():
         optimize_s(1_000_000, 1.5 * 1_000_000**0.25)
     with pytest.raises(ValueError, match="facet count must be >= 1"):
         radial.expected_gsa_grid(64, 2.0, np.array([-0.5, 1.0]))
-
-
-def test_v2_refinement_prices_probes_in_batches(monkeypatch):
-    # v2 is closed-form: its golden search evaluates the 30 probes of four
-    # steps ahead per call; v1 stays one radius at a time
-    batches = []
-    search = radial.golden_section_min
-
-    def recorder(f, lo, hi, **kwargs):
-        if kwargs.get("f_batch") is not None:
-            f_batch = kwargs["f_batch"]
-
-            def counted(ts):
-                batches.append(ts.size)
-                return f_batch(ts)
-            kwargs["f_batch"] = counted
-        return search(f, lo, hi, **kwargs)
-
-    monkeypatch.setattr(radial, "golden_section_min", recorder)
-    lower_bound_chain(1024, 1024**0.25, 2000.0)
-    assert batches and batches[0] == 32 and set(batches[1:]) == {30}
