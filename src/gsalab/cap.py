@@ -24,6 +24,7 @@ from .specfun import branchwise, log1mexp, log_gamma, log_tau_n, tau_n
 
 _BETACF_ITMAX = 2000
 _BETACF_EPS = 1e-15
+_BETACF_BLOCK = 16  # values of m whose numerators one outer product forms
 _FPMIN = 1e-300
 
 
@@ -47,44 +48,68 @@ class CapQuery:
 def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """Continued fraction for the incomplete beta (modified Lentz, vectorized).
 
-    Valid on the convergent side x < (a+1)/(a+b+2); the caller is responsible
-    for flipping to the symmetric side first.  Every element keeps iterating
-    until the last one has converged.
+    Valid on the convergent side x < (a+1)/(a+b+2) of a 1-D x; the caller is
+    responsible for flipping to the symmetric side first.  Every element keeps
+    iterating until the last one has converged: the loop stops at the first
+    m at which every element has had |delta - 1| < 1e-15, and an element
+    that converged earlier still takes its further factors delta (each
+    within 1e-15 of 1, but not exactly 1).  So each element's bits depend on
+    the batch it is in, and a call that merged, split or trimmed batches
+    would change the last bits of log P.
+
+    The loop runs in place: d and c share one (2, k) buffer so that the
+    `+ 1`, `abs` and 1e-300 clamp run once for both, and the partial
+    numerators aa = num * x / den come in blocks of m from one outer
+    product, with num and den the Python floats of the textbook recurrence.
+    Every element sees the same operations in the same order as in the
+    allocating loop (`tests/oracles.py::betacf_reference`).
     """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
-    d = 1.0 / d
+    k = x.size
+    dc = np.empty((2, k))
+    d, c = dc
+    c.fill(1.0)
+    d0 = 1.0 - qab * x / qap
+    np.divide(1.0, np.where(np.abs(d0) < _FPMIN, _FPMIN, d0), out=d)
     h = d.copy()
-    converged = np.zeros(x.shape, dtype=bool)
-    for m in range(1, _BETACF_ITMAX + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        converged |= np.abs(delta - 1.0) < _BETACF_EPS
-        if converged.all():
-            break
-    else:
-        raise RuntimeError(
-            f"incomplete beta continued fraction stalled at a={a}, b={b}"
-        )
-    return h
+    mag = np.empty_like(dc)
+    delta = np.empty_like(h)
+    hit = np.empty(k, dtype=bool)
+    converged = np.zeros(k, dtype=bool)
+    m = 1
+    while m <= _BETACF_ITMAX:
+        block = range(m, min(m + _BETACF_BLOCK, _BETACF_ITMAX + 1))
+        num, den = [], []
+        for j in block:
+            j2 = 2 * j
+            num += [j * (b - j), -(a + j) * (qab + j)]
+            den += [(qam + j2) * (a + j2), (a + j2) * (qap + j2)]
+        aas = np.multiply.outer(num, x)
+        aas /= np.array(den)[:, None]
+        for pair in aas.reshape(len(block), 2, k):
+            for aa in pair:  # the even step of m, then the odd one
+                np.multiply(aa, d, out=d)
+                np.divide(aa, c, out=c)
+                np.add(dc, 1.0, out=dc)
+                np.absolute(dc, out=mag)
+                # fmin skips NaN, so one NaN element cannot hide a needed clamp
+                if np.fmin.reduce(mag, axis=None, initial=np.inf) < _FPMIN:
+                    dc[mag < _FPMIN] = _FPMIN
+                np.divide(1.0, d, out=d)
+                np.multiply(d, c, out=delta)
+                h *= delta
+            np.subtract(delta, 1.0, out=delta)
+            np.absolute(delta, out=delta)
+            np.less(delta, _BETACF_EPS, out=hit)
+            converged |= hit
+            if np.count_nonzero(converged) == k:
+                return h
+        m = block.stop
+    raise RuntimeError(
+        f"incomplete beta continued fraction stalled at a={a}, b={b}"
+    )
 
 
 def log_betainc_reg(a: float, b: float, x, cx=None):

@@ -210,14 +210,15 @@ def expected_influence_quadrature(n: int, r: float, s: float,
     ladder attached.  When an upper bound on every node sum lies below the
     double range (about e^-746) the value is 0.0 and no ladder runs.  F
     vanishes identically below rho = r, so integration starts at
-    max(window_lo, r) and the clamp kink never sits inside a panel.
+    max(window_lo, r) and the clamp kink never sits inside a panel.  r = inf
+    is the whole-space limit, 0.0; a non-finite s raises ValueError.
     """
     if n < 4:
         raise ValueError(f"radial reduction needs n >= 4, got {n}")
     if not r > 0.0:
         raise ValueError(f"offset r must be > 0, got {r}")
-    if not s >= 1.0:
-        raise ValueError(f"facet count must be >= 1, got {s}")
+    if not 1.0 <= s < math.inf:
+        raise ValueError(f"facet count must be finite and >= 1, got {s}")
     if spec is None:
         spec = QuadratureSpec.for_dimension(n)
     lo = max(spec.rho_lo, r)
@@ -293,10 +294,14 @@ def expected_gsa_grid(n: int, r: float, ln_s: np.ndarray) -> np.ndarray:
     """expected_gsa(n, r, math.exp(g)) for every g in ln_s, on one node ladder.
 
     Bit for bit the one-point values, early exits and first convergence
-    error included (see _influences_on_ladder); ln s past the double range
-    raises ValueError.
+    error included (see _influences_on_ladder); ln s past the double range,
+    a NaN in ln s or a non-finite r raises ValueError.
     """
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"offset r must be finite and > 0, got {r}")
     ln_s = np.asarray(ln_s, dtype=float).tolist()
+    if any(map(math.isnan, ln_s)):
+        raise ValueError("facet count must be finite, got ln s = nan")
     if min(ln_s) < 0.0:
         raise ValueError(f"facet count must be >= 1, got ln s = {min(ln_s)}")
     if max(ln_s) > _LOG_MAX:
@@ -381,12 +386,12 @@ def optimize_s(n: int, r: float):
     section then integrates one s at a time.  Every value of s is
     integrated on the default window, so the ladder's node tables are built
     once per (n, r) and served from cache.  A scan reaching ln s past the
-    double range (about 709.78) raises ValueError.
+    double range (about 709.78) raises ValueError, and so does a non-finite r.
     """
     if n < 7:
         raise ValueError(f"optimize_s needs n >= 7, got {n}")
-    if not r > 0.0:
-        raise ValueError(f"offset r must be > 0, got {r}")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"offset r must be finite and > 0, got {r}")
     log_g_center = float(log_complement_upper_from_ratio(n, r / math.sqrt(n)))
 
     def objective(ln_s):

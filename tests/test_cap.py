@@ -9,6 +9,8 @@ from scipy.special import betainc as scipy_betainc
 from gsalab import cap, rng, specfun
 from gsalab.cap import CapQuery
 
+from oracles import betacf_reference
+
 
 def test_closed_form_n3():
     # at n = 3 the density in z is flat, so P = (1 + r/||x||)/2
@@ -104,6 +106,51 @@ def test_log_complement_deep_tail_against_mpmath():
         x = mpmath.mpf(1) - mpmath.mpf(u) ** 2
         exact = mpmath.log(mpmath.betainc(a, b, 0, x, regularized=True) / 2)
         assert mine == pytest.approx(float(exact), rel=1e-9)
+
+
+def _assert_betacf_bits(a, b, x):
+    got = cap._betacf(a, b, x.copy())
+    want = betacf_reference(a, b, x.copy())
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (a, b, x.size)
+    return got
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_n=st.floats(math.log(4), math.log(2e5)), flip=st.booleans(),
+       size=st.integers(1, 1024), near=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_betacf_is_bit_for_bit_the_allocating_loop(log_n, flip, size, near, seed):
+    # the in-place loop must give every element the reference's bits, which
+    # depend on the whole batch through the shared stop iteration
+    n = round(math.exp(log_n))
+    a, b = (n - 1) / 2.0, 0.5
+    if flip:
+        a, b = b, a
+    thresh = (a + 1.0) / (a + b + 2.0)
+    state = np.random.default_rng(seed)
+    if near:  # just below the flip point, where the fraction converges slowest
+        x = thresh * -np.expm1(state.uniform(-40.0, 0.0, size))
+    else:
+        x = state.uniform(0.0, thresh, size)
+    _assert_betacf_bits(a, b, x)
+
+
+@pytest.mark.parametrize("size", [128, 256, 512, 513])
+def test_betacf_node_table_and_shell_grid_sizes(size):
+    for n in (7, 64, 4096, 100_000):
+        for a, b in (((n - 1) / 2.0, 0.5), (0.5, (n - 1) / 2.0)):
+            thresh = (a + 1.0) / (a + b + 2.0)
+            _assert_betacf_bits(a, b, np.linspace(0.0, thresh, size, endpoint=False))
+
+
+def test_betacf_clamp_is_bit_for_bit_the_allocating_loop(monkeypatch):
+    # a 1e-300 clamp never fires on the convergent side; at 0.8 it clamps 167
+    # of these 300 elements at the start and 48 to 123 in each of the first
+    # four odd steps
+    x = np.linspace(0.0, 0.5, 300, endpoint=False)
+    plain = cap._betacf(4.5, 0.5, x.copy())
+    monkeypatch.setattr(cap, "_FPMIN", 0.8)
+    clamped = _assert_betacf_bits(4.5, 0.5, x)
+    assert not np.array_equal(clamped, plain)
 
 
 def test_betacf_stall_raises_on_both_paths(monkeypatch):

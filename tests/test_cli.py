@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -259,3 +263,79 @@ def test_convergence_failure_writes_non_finite_values_as_null(tmp_path, monkeypa
     assert doc["params"]["s"] is None
     assert doc["error"] == {"message": "planted",
                             "history": [[128, None], [256, None], [512, -3.5]]}
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["quad", "--n", "64", "--r", "2", "--s", "inf"], "inf"),
+    (["quad", "--n", "64", "--r", "2", "--s", "nan"], "nan"),
+    (["scan", "--n", "64", "--alpha", "inf"], "inf"),
+])
+def test_non_finite_s_and_r_exit_one_naming_the_value(argv, value, capsys):
+    # `quad --s inf` used to climb a NaN node ladder for over a second and
+    # exit 2; `scan --alpha inf` exited 2 with an unbracketed optimum
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err
+    assert err.rstrip().endswith(f"got {value}")
+
+
+def test_quad_at_infinite_offset_is_zero(tmp_path):
+    out = tmp_path / "quad.json"
+    assert run(["quad", "--n", "64", "--r", "inf", "--s", "2", "--json", str(out)]) == 0
+    rows = {row["name"]: row["value"] for row in json.loads(out.read_text())["rows"]}
+    assert rows["expected-influence-quadrature"] == 0.0
+    assert rows["expected-gsa-quadrature"] == 0.0
+
+
+@pytest.fixture
+def fresh_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, fresh_parser):
+    build_parser, builds = cli.build_parser, []
+
+    def spy():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    out = str(tmp_path / "out.json")
+    assert run(["cap", "--n", "3", "--norm", "2", "--r", "1", "--json", out]) == 0
+    assert run(["quad", "--n", "16", "--r", "2", "--s", "32", "--json", out]) == 0
+    assert run(["cap", "--n", "3"]) == 1
+    assert run(["scan", "--n", "64", "--alpha", "1.0", "--json", out]) == 0
+    assert run(["optimize", "--json", out]) == 0
+    assert len(builds) == 1
+    # the public builder itself stays uncached
+    assert build_parser() is not build_parser()
+
+
+def test_usage_error_between_scans_leaves_the_report_unchanged(tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert run(["scan", "--n", "64", "--json", str(first)]) == 0
+    # a half-parsed seed and alpha must not leak into the next call
+    assert run(["scan", "--seed", "9", "--alpha", "2.0", "--svg"]) == 1
+    assert run(["scan", "--n", "64", "--json", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+    assert json.loads(second.read_text())["seed"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--n", "64", "--alpha", "1.0,1.25"],
+    ["influence", "--n", "8", "--r", "1.5", "--s", "12", "--samples", "4096", "--seed", "3"],
+    ["gsa", "--n", "8", "--r", "1.5", "--s", "12", "--samples-per-facet", "200",
+     "--samples", "4096", "--seed", "3"],
+])
+def test_in_process_report_matches_a_fresh_process(argv, tmp_path):
+    here, fresh = tmp_path / "here.json", tmp_path / "fresh.json"
+    assert run(argv + ["--json", str(here)]) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "gsalab"] + argv + ["--json", str(fresh)],
+                          env=env, capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr.decode()
+    assert fresh.read_bytes() == here.read_bytes()

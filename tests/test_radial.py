@@ -598,3 +598,24 @@ def test_facet_counts_past_the_double_range_raise_value_error():
         optimize_s(1_000_000, 1.5 * 1_000_000**0.25)
     with pytest.raises(ValueError, match="facet count must be >= 1"):
         radial.expected_gsa_grid(64, 2.0, np.array([-0.5, 1.0]))
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: expected_influence_quadrature(64, 2.0, math.inf), "inf"),
+    (lambda: expected_influence_quadrature(64, 2.0, math.nan), "nan"),
+    (lambda: radial.expected_gsa_grid(64, math.inf, np.array([1.0, 2.0])), "inf"),
+    (lambda: radial.expected_gsa_grid(64, math.nan, np.array([1.0, 2.0])), "nan"),
+    (lambda: radial.expected_gsa_grid(64, 2.0, np.array([1.0, math.nan])), "nan"),
+    (lambda: optimize_s(64, math.inf), "inf"),
+    (lambda: optimize_s(64, math.nan), "nan"),
+])
+def test_non_finite_s_and_r_raise_at_once(call, value):
+    # an infinite s used to climb a NaN node ladder to 524288 nodes, and an
+    # infinite r left the facet-count optimum unbracketed
+    with pytest.raises(ValueError, match=rf"must be finite.*\b{value}$"):
+        call()
+
+
+def test_influence_at_infinite_offset_is_the_whole_space_limit():
+    assert expected_influence_quadrature(64, math.inf, 2.0) == 0.0
+    assert expected_gsa(64, math.inf, 2.0) == 0.0
