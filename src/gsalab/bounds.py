@@ -1,15 +1,12 @@
 """Closed-form bounds and oracles for Gaussian surface area.
 
-Reference curves for the supremum of GSA over convex bodies in dimension n,
-the exact sphere value used as an oracle throughout the test suite, and the
-influence-derived upper bounds for individual sets.
+Reference curves for the supremum of GSA over convex bodies in dimension n
+and the influence-derived upper bounds for individual sets.
 """
 
 from __future__ import annotations
 
 import math
-
-from .specfun import LOG_2PI, log_gamma
 
 E_M54 = math.exp(-1.25)
 
@@ -41,22 +38,6 @@ def nazarov_lower(n: int) -> float:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     return E_M54 * n**0.25
-
-
-def gsa_ball_exact(n: int, R: float) -> float:
-    """Exact Gaussian surface area of the radius-R sphere in R^n.
-
-    Surface area 2 pi^(n/2) R^(n-1) / Gamma(n/2) times the density value
-    (2 pi)^(-n/2) e^(-R^2/2); assembled in log space.  At n = 1 this is the
-    two boundary points, 2 phi(R).
-    """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    if not R > 0.0:
-        raise ValueError(f"radius must be > 0, got {R}")
-    log_val = (math.log(2.0) + 0.5 * n * math.log(math.pi) - log_gamma(n / 2.0)
-               + (n - 1) * math.log(R) - 0.5 * n * LOG_2PI - 0.5 * R * R)
-    return math.exp(log_val)
 
 
 def final_var_upper(n: int, vol: float, inradius: float) -> float:

@@ -244,7 +244,11 @@ def cap_complement_upper_G(q: CapQuery) -> float:
 
 
 def log_F_dilation(n: int, r: float, rho):
-    """ln F with F(rho) = (r/rho) * (1 - r^2/rho^2)_+^((n-3)/2); -inf where rho <= r."""
+    """ln F with F(rho) = (r/rho) * (1 - r^2/rho^2)_+^((n-3)/2); -inf where rho <= r.
+
+    F is d/dt of the cap measure with offset r(1+t) at t = 0, divided by
+    tau_n; it is exactly 0 at and below rho = r.
+    """
     if n < 2:
         raise ValueError(f"dilation derivative needs n >= 2, got {n}")
     if not r > 0.0:
@@ -261,16 +265,3 @@ def log_F_dilation(n: int, r: float, rho):
     out = branchwise([(rho > r, live)], (rho,))
     return float(out[0]) if scalar else out
 
-
-def F_dilation(n: int, r: float, rho):
-    """Dilation-derivative factor F(rho); exactly 0 at and below rho = r.
-
-    F is d/dt of the cap measure with offset r(1+t) at t = 0, divided by
-    tau_n; the clamp matches the (a)_+ convention rather than returning a
-    denormal.
-    """
-    scalar = np.isscalar(rho)
-    lf = log_F_dilation(n, r, np.atleast_1d(rho))
-    with np.errstate(over="ignore"):
-        f = np.exp(lf)
-    return float(f[0]) if scalar else f

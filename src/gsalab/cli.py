@@ -172,15 +172,14 @@ def _make_body(args):
         return polytope.Ball(n=args.n, radius=args.radius)
     variant = polytope.UNIT_SPHERE if args.body == "naz" else polytope.GAUSSIAN
     params = polytope.NazParams(n=args.n, offset=args.r, s=args.s, variant=variant)
-    sampler = polytope.sample_naz if args.body == "naz" else polytope.sample_naz_prime
-    return sampler(params, args.seed)
+    return polytope.sample_naz(params, args.seed)
 
 
 def _cmd_influence(args):
     body = _make_body(args)
     spectral = estimators.estimate_influence_spectral(body, args.samples, args.seed)
     coeffs = estimators.estimate_hermite_coefficients(body, args.samples, args.seed)
-    combined = estimators.influence_from_hermite_estimates(coeffs, shared_samples=True)
+    combined = estimators.influence_from_hermite_estimates(coeffs)
     volume = estimators.estimate_volume(body, args.samples, args.seed)
     rows = [
         spectral.to_row("influence-moment-mc"),

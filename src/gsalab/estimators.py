@@ -103,21 +103,20 @@ def estimate_hermite_coefficients(body, samples: int, seed: int) -> list[Estimat
     return [estimate_hermite_2ei(body, i, samples, seed) for i in range(body.n)]
 
 
-def influence_from_hermite_estimates(coeffs, shared_samples: bool = True) -> Estimate:
+def influence_from_hermite_estimates(coeffs) -> Estimate:
     """Combine degree-2 coefficients into influence: -sqrt(2) * sum of values.
 
-    With shared_samples the inputs must come from one point stream (same
-    sample count and seed); the combined value is then exactly the moment
-    estimator on that stream.  The reported stderr propagates the per-axis
-    errors without cross terms, which is exact only in the independent case;
-    for the shared path the moment estimator's own stderr is the sharp one.
+    The inputs must come from one point stream (same sample count and seed);
+    the combined value is then exactly the moment estimator on that stream.
+    The reported stderr propagates the per-axis errors without cross terms,
+    which would be exact only for independent streams; the moment
+    estimator's own stderr is the sharp one.
     """
     coeffs = list(coeffs)
     if not coeffs:
         raise ValueError("need at least one coefficient estimate")
-    if shared_samples:
-        if len({(c.samples, c.seed) for c in coeffs}) != 1:
-            raise ValueError("shared_samples requires identical (samples, seed) streams")
+    if len({(c.samples, c.seed) for c in coeffs}) != 1:
+        raise ValueError("coefficients must share one (samples, seed) stream")
     value = -SQRT2 * sum(c.value for c in coeffs)
     stderr = SQRT2 * math.sqrt(sum(c.stderr**2 for c in coeffs))
     return Estimate(value=value, stderr=stderr, samples=coeffs[0].samples, seed=coeffs[0].seed)

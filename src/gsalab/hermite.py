@@ -52,22 +52,13 @@ def gauss_hermite_nodes(count: int):
     return x, w / math.sqrt(2.0 * math.pi)
 
 
-def inner_product_gh(f, g, max_degree: int, nodes: int | None = None) -> float:
+def inner_product_gh(f, g, max_degree: int) -> float:
     """Gaussian inner product E[f(x) g(x)] for polynomial f, g.
 
-    max_degree bounds the degree of each factor; the node count is chosen so
-    the product (degree <= 2*max_degree) is integrated exactly.  An explicit
-    node override below the exactness requirement is rejected.
+    max_degree bounds the degree of each factor; max_degree + 1 nodes
+    integrate the product (degree <= 2*max_degree) exactly.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-    required = max_degree + 1
-    if nodes is None:
-        nodes = required
-    elif nodes < required:
-        raise ValueError(
-            f"{nodes} nodes integrate degree <= {2 * nodes - 1} exactly; "
-            f"the product needs {required}"
-        )
-    x, w = gauss_hermite_nodes(nodes)
+    x, w = gauss_hermite_nodes(max_degree + 1)
     return float(np.dot(w, np.asarray(f(x), dtype=float) * np.asarray(g(x), dtype=float)))

@@ -1,16 +1,17 @@
 """Random convex bodies: intersections of halfspaces tangent to a sphere.
 
-Two samplers are provided.  The primary one draws s uniform unit normals and
-puts every facet at common distance r from the origin; the variant draws raw
-Gaussian normals with a common raw offset w and stores them normalized, so
-both produce the same representation: unit normals plus per-facet offsets.
+One sampler draws both variants.  The primary one draws s uniform unit
+normals and puts every facet at common distance r from the origin; the
+variant draws raw Gaussian normals with a common raw offset w and stores them
+normalized, so both produce the same representation: unit normals plus
+per-facet offsets.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,6 +150,13 @@ class Ball:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
         if not self.radius > 0.0:
             raise ValueError(f"radius must be > 0, got {self.radius}")
+        try:
+            square = float(self.radius)**2
+        except OverflowError:
+            square = math.inf
+        if not math.isfinite(square):
+            raise ValueError(
+                f"radius {self.radius} is too large: its square is not a finite double")
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
@@ -176,33 +184,18 @@ def _facet_normal(params: NazParams, seed: int, i: int) -> tuple[np.ndarray, flo
 
 
 def sample_naz(params: NazParams, seed: int) -> HalfspacePolytope:
-    """Draw from the primary distribution: s uniform unit normals, offsets all r.
+    """Draw from the distribution params.variant names.
 
+    unit-sphere-normals: s uniform unit normals, offsets all r.
+    gaussian-normals: {x : x.g_i <= w} stored normalized, so facet i has unit
+    normal g_i/||g_i|| and offset w/||g_i||; the raw norm is w/offset_i.
     Deterministic given (params, seed); facet i depends only on (seed, i), so
     draws are reproducible under any parallel split.
     """
-    if params.variant != UNIT_SPHERE:
-        raise ValueError("sample_naz requires the unit-sphere-normals variant")
-    normals = np.empty((params.s, params.n))
-    for i in range(params.s):
-        g, norm = _facet_normal(params, seed, i)
-        normals[i] = g / norm
-    offsets = np.full(params.s, params.offset)
-    return HalfspacePolytope(normals, offsets, variant=UNIT_SPHERE, seed=seed)
-
-
-def sample_naz_prime(params: NazParams, seed: int) -> HalfspacePolytope:
-    """Draw from the Gaussian-normal variant: {x : x.g_i <= w}.
-
-    Stored normalized, so facet i has unit normal g_i/||g_i|| and offset
-    w/||g_i||; the raw norm is recoverable as w/offset_i.
-    """
-    if params.variant != GAUSSIAN:
-        raise ValueError("sample_naz_prime requires the gaussian-normals variant")
     normals = np.empty((params.s, params.n))
     offsets = np.empty(params.s)
     for i in range(params.s):
         g, norm = _facet_normal(params, seed, i)
         normals[i] = g / norm
-        offsets[i] = params.offset / norm
-    return HalfspacePolytope(normals, offsets, variant=GAUSSIAN, seed=seed)
+        offsets[i] = params.offset if params.variant == UNIT_SPHERE else params.offset / norm
+    return HalfspacePolytope(normals, offsets, variant=params.variant, seed=seed)

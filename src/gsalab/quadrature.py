@@ -46,32 +46,26 @@ def composite_nodes(lo: float, hi: float, nodes: int):
     return x.ravel(), w.ravel()
 
 
-def node_ladder(evaluate, nodes, settled, tol, give_up_tol, max_doublings, what,
-                entries=None):
-    """Evaluate a rule at nodes, 2 nodes, 4 nodes, ... until it stabilizes.
+def node_ladder(evaluate, nodes, settled, tol, give_up_tol, max_doublings, what, entries):
+    """Evaluate a rule of `entries` values at nodes, 2 nodes, 4 nodes, ...
+    until each value stabilizes.
 
-    evaluate(m) is the rule's value with m nodes; settled(prev, val, tol)
-    says whether one doubling step moved the value by at most tol, in the
-    caller's own measure.  The first settled step returns its value.  If the
-    budget of max_doublings runs out, the last value is still returned when
-    its step settles within give_up_tol; otherwise the failure is raised
-    with the (nodes, value) ladder attached rather than returned silently.
-
-    With entries=k the rule has k values that settle one by one:
-    evaluate(m, live) returns the values of the entries listed in live, in
-    that order.  Each entry freezes at its own first settled step and leaves
-    live, so its value and ladder are what it gets alone; a one-entry rule
-    runs exactly the rungs of a scalar one.  When the budget runs out, the
-    first entry in order whose step misses give_up_tol is raised, and what
-    may be a callable naming entry i.  Returns a list of k values.
+    evaluate(m, live) returns the rule's values with m nodes for the entries
+    listed in live, in that order; settled(prev, val, tol) says whether one
+    doubling step moved a value by at most tol, in the caller's own measure.
+    Each entry freezes at its own first settled step and leaves live, so its
+    value and ladder are what it gets alone.  If the budget of max_doublings
+    runs out, the last values are still returned when their steps settle
+    within give_up_tol; otherwise the first entry in order that misses it is
+    raised, named by what(i), with its (nodes, value) ladder attached rather
+    than returned silently.  Returns a list of `entries` values.
     """
-    ladders = [[] for _ in range(1 if entries is None else entries)]
-    live = list(range(len(ladders)))
+    ladders = [[] for _ in range(entries)]
+    live = list(range(entries))
     for k in range(max_doublings + 1):
         m = nodes << k
-        values = [evaluate(m)] if entries is None else evaluate(m, live)
         moving = []
-        for i, val in zip(live, values):
+        for i, val in zip(live, evaluate(m, live)):
             ladder = ladders[i]
             ladder.append((m, val))
             if not (k and settled(ladder[-2][1], val, tol)):
@@ -83,11 +77,9 @@ def node_ladder(evaluate, nodes, settled, tol, give_up_tol, max_doublings, what,
         for i in live:
             (_, prev), (_, last) = ladders[i][-2:]
             if not settled(prev, last, give_up_tol):
-                name = what(i) if callable(what) else what
                 raise QuadratureConvergenceError(
-                    f"{name} did not stabilize: node ladder {ladders[i]}", history=ladders[i])
-    out = [ladder[-1][1] for ladder in ladders]
-    return out[0] if entries is None else out
+                    f"{what(i)} did not stabilize: node ladder {ladders[i]}", history=ladders[i])
+    return [ladder[-1][1] for ladder in ladders]
 
 
 def _relative_step(prev, val, tol):
@@ -101,12 +93,12 @@ def integrate_doubling(f, lo, hi, nodes=128, rel_tol=1e-8):
     still leave them more than 1e-6 apart (relative) the computation is
     reported as failed rather than returned silently.
     """
-    def evaluate(m):
+    def evaluate(m, live):
         x, w = composite_nodes(lo, hi, m)
-        return float(np.dot(w, f(x)))
+        return [float(np.dot(w, f(x)))]
 
     return node_ladder(evaluate, nodes, _relative_step, rel_tol, _GIVE_UP_TOL,
-                       _MAX_DOUBLINGS, f"integral on [{lo}, {hi}]")
+                       _MAX_DOUBLINGS, lambda i: f"integral on [{lo}, {hi}]", 1)[0]
 
 
 def adaptive_quad(f, lo, hi, abs_tol=1e-12):

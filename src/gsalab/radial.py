@@ -201,6 +201,14 @@ def _log_step_settled(prev: float, val: float, tol: float) -> bool:
     return (prev == val == -math.inf) or abs(val - prev) <= tol
 
 
+def _check_cell(n: int, r: float) -> None:
+    """The (n, r) checks of the one-point and grid integrals alike."""
+    if n < 4:
+        raise ValueError(f"radial reduction needs n >= 4, got {n}")
+    if not r > 0.0:
+        raise ValueError(f"offset r must be > 0, got {r}")
+
+
 def expected_influence_quadrature(n: int, r: float, s: float,
                                   spec: QuadratureSpec | None = None) -> float:
     """E[influence] of the random polytope by radial quadrature.
@@ -213,10 +221,7 @@ def expected_influence_quadrature(n: int, r: float, s: float,
     max(window_lo, r) and the clamp kink never sits inside a panel.  r = inf
     is the whole-space limit, 0.0; a non-finite s raises ValueError.
     """
-    if n < 4:
-        raise ValueError(f"radial reduction needs n >= 4, got {n}")
-    if not r > 0.0:
-        raise ValueError(f"offset r must be > 0, got {r}")
+    _check_cell(n, r)
     if not 1.0 <= s < math.inf:
         raise ValueError(f"facet count must be finite and >= 1, got {s}")
     if spec is None:
@@ -293,13 +298,17 @@ def _double_range_error(where: str, log_s: float) -> ValueError:
 def expected_gsa_grid(n: int, r: float, ln_s: np.ndarray) -> np.ndarray:
     """expected_gsa(n, r, math.exp(g)) for every g in ln_s, on one node ladder.
 
-    Bit for bit the one-point values, early exits and first convergence
-    error included (see _influences_on_ladder); ln s past the double range,
-    a NaN in ln s or a non-finite r raises ValueError.
+    Bit for bit the one-point values, early exits, input checks and first
+    convergence error included (see _influences_on_ladder); ln s past the
+    double range, a NaN in ln s or a non-finite r raises ValueError, and an
+    empty grid returns an empty array.
     """
-    if not 0.0 < r < math.inf:
+    if not math.isfinite(r):
         raise ValueError(f"offset r must be finite and > 0, got {r}")
+    _check_cell(n, r)
     ln_s = np.asarray(ln_s, dtype=float).tolist()
+    if not ln_s:
+        return np.zeros(0)
     if any(map(math.isnan, ln_s)):
         raise ValueError("facet count must be finite, got ln s = nan")
     if min(ln_s) < 0.0:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-LOG_2PI = math.log(2.0 * math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -41,25 +40,6 @@ def gaussian_pdf(x: float) -> float:
 def gaussian_tail(t: float) -> float:
     """P[N(0,1) >= t], evaluated through erfc for stable far tails."""
     return 0.5 * math.erfc(t / math.sqrt(2.0))
-
-
-def log_gaussian_cdf(t: float) -> float:
-    """log P[N(0,1) <= t]; stays accurate far into the left tail."""
-    if t >= -1.0:
-        return math.log1p(-gaussian_tail(t))
-    # For deep left tails, erfc underflows before its log does.
-    return math.log(0.5) + _log_erfc(-t / math.sqrt(2.0))
-
-
-def _log_erfc(x: float) -> float:
-    # erfc(x) for large x via the scaled asymptotic series; plain erfc
-    # underflows past x ~ 26.6.
-    if x < 25.0:
-        return math.log(math.erfc(x))
-    # erfc(x) = exp(-x^2)/(x sqrt(pi)) * (1 - 1/(2x^2) + 3/(4x^4) - ...)
-    inv2 = 1.0 / (2.0 * x * x)
-    series = 1.0 - inv2 * (1.0 - 3.0 * inv2 * (1.0 - 5.0 * inv2))
-    return -x * x - math.log(x * math.sqrt(math.pi)) + math.log(series)
 
 
 def mills_sandwich(t: float) -> TailSandwich:

@@ -15,7 +15,7 @@ def ball_influence_quadrature(n: int, R: float) -> float:
     """Influence of the radius-R ball as the radial moment integral.
 
     integral_0^R chi_n(rho) (n - rho^2) drho; the independent oracle for the
-    exact sphere surface-area formula via influence = R * GSA.
+    sphere's surface area, the chi_n density at R, via influence = R * GSA.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")

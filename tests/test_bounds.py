@@ -36,17 +36,20 @@ def test_nazarov_curve():
 
 
 def test_gsa_ball_low_dimensions():
+    # the GSA of the radius-R sphere is the chi_n density at R: at n = 1 the
+    # two boundary points 2 phi(R), at n = 2 the Rayleigh density R e^(-R^2/2)
     for theta in (0.3, 1.0, 2.2):
-        assert bounds.gsa_ball_exact(1, theta) == pytest.approx(
+        assert math.exp(specfun.chi_log_density(1, theta)) == pytest.approx(
             2.0 * specfun.gaussian_pdf(theta), rel=1e-13)
-    assert bounds.gsa_ball_exact(2, 1.0) == pytest.approx(math.exp(-0.5), rel=1e-13)
+    assert math.exp(specfun.chi_log_density(2, 1.0)) == pytest.approx(math.exp(-0.5),
+                                                                       rel=1e-13)
 
 
 def test_gsa_ball_influence_identity():
     # R * GSA(sphere_R) equals the radial moment integral of (n - rho^2)
     for n in range(2, 11):
         for R in (0.5, 1.0, 2.0, 3.0):
-            lhs = R * bounds.gsa_ball_exact(n, R)
+            lhs = R * chi_dist.pdf(R, n)
             rhs = ball_influence_quadrature(n, R)
             assert abs(lhs - rhs) <= 1e-8, (n, R)
 
@@ -64,7 +67,7 @@ def test_final_var_holds_for_balls():
     for n in (2, 4, 8):
         for R in (0.5, 1.0, 2.0, 3.0):
             vol = float(chi_dist.cdf(R, n))
-            assert bounds.gsa_ball_exact(n, R) <= bounds.final_var_upper(n, vol, R)
+            assert chi_dist.pdf(R, n) <= bounds.final_var_upper(n, vol, R)
 
 
 def test_final_var_degenerate_volumes():
@@ -107,12 +110,12 @@ def test_final_deg2_covers_ball_surface():
     coeffs = estimators.estimate_hermite_coefficients(ball, 200_000, seed=52)
     deg2 = bounds.final_deg2_upper(4, [c.value for c in coeffs], 1.0)
     stderr = math.sqrt(2 * 4) * math.sqrt(sum(c.stderr**2 for c in coeffs))
-    assert deg2 >= bounds.gsa_ball_exact(4, 1.0) - 4 * stderr
+    assert deg2 >= chi_dist.pdf(1.0, 4) - 4 * stderr
 
 
 def test_sphere_peak_surface_is_order_one():
     for n in (1, 2, 8, 64, 256):
         grid = np.linspace(0.05, math.sqrt(n) + 3.0, 4000)
-        peak = max(bounds.gsa_ball_exact(n, float(R)) for R in grid)
+        peak = float(chi_dist.pdf(grid, n).max())
         assert 0.4 <= peak <= 0.85
         assert peak <= bounds.ball_upper(n)

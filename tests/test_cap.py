@@ -212,13 +212,13 @@ def test_complement_bound_scale_invariant(scale):
 
 
 def test_dilation_factor_values():
-    assert cap.F_dilation(5, 1.0, 1.0) == 0.0
-    assert cap.F_dilation(5, 1.0, 0.5) == 0.0
-    assert cap.F_dilation(3, 1.0, 2.0) == pytest.approx(0.5, rel=1e-14)
+    assert cap.log_F_dilation(5, 1.0, 1.0) == -math.inf
+    assert cap.log_F_dilation(5, 1.0, 0.5) == -math.inf
+    assert math.exp(cap.log_F_dilation(3, 1.0, 2.0)) == pytest.approx(0.5, rel=1e-14)
     with pytest.raises(ValueError):
-        cap.F_dilation(1, 1.0, 2.0)
+        cap.log_F_dilation(1, 1.0, 2.0)
     with pytest.raises(ValueError):
-        cap.F_dilation(5, 1.0, -1.0)
+        cap.log_F_dilation(5, 1.0, -1.0)
 
 
 def test_dilation_factor_is_cap_derivative():
@@ -228,7 +228,7 @@ def test_dilation_factor_is_cap_derivative():
     up = cap.cap_probability(CapQuery(n, rho, r * (1 + h)))
     down = cap.cap_probability(CapQuery(n, rho, r * (1 - h)))
     derivative = (up - down) / (2 * h)
-    want = specfun.tau_n(n) * cap.F_dilation(n, r, rho)
+    want = specfun.tau_n(n) * math.exp(cap.log_F_dilation(n, r, rho))
     assert derivative == pytest.approx(want, abs=1e-6)
 
 

@@ -91,6 +91,33 @@ def test_influence_ball_body(tmp_path):
     assert 0.0 < rows["gaussian-volume-mc"]["value"] < 1.0
 
 
+def test_influence_naz_prime_rows_frozen_regression(tmp_path):
+    # the Gaussian-normal variant drawn by the one sampler; frozen when the
+    # variant had a sampler of its own, so any change is a change of result
+    out = tmp_path / "naz_prime.json"
+    assert run(["influence", "--n", "8", "--body", "naz-prime", "--r", "2.0", "--s", "12",
+                "--samples", "4096", "--seed", "5", "--json", str(out)]) == 0
+    mc = {"samples": 4096, "seed": 5}
+    closed = {"samples": None, "seed": None, "stderr": None}
+    assert json.loads(out.read_text())["rows"] == [
+        {"name": "influence-moment-mc", "value": 0.271065342148474,
+         "stderr": 0.020459777988733593, **mc},
+        {"name": "influence-hermite-mc", "value": 0.27106534214847394,
+         "stderr": 0.014752307180669399, **mc},
+        {"name": "gaussian-volume-mc", "value": 0.10205078125,
+         "stderr": 0.0047305006045643624, **mc},
+        {"name": "surface-upper-variance", "value": 2.4908659198595746, **closed},
+        {"name": "surface-upper-deg2", "value": 0.6742865398078848, **closed},
+    ]
+
+
+def test_ball_radius_past_the_double_range_exits_one(capsys):
+    # radius**2 used to raise OverflowError ('Numerical result out of range')
+    assert run(["influence", "--n", "4", "--body", "ball", "--radius", "1e200"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: radius 1e+200 is too large")
+
+
 def test_scan_csv_deterministic(tmp_path):
     first = tmp_path / "scan1.csv"
     second = tmp_path / "scan2.csv"

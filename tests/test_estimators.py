@@ -115,7 +115,7 @@ def test_influence_from_hermite_matches_spectral_exactly():
     K = polytope.sample_naz(NazParams(n=16, offset=2.0, s=32), seed=17)
     spectral = estimate_influence_spectral(K, 30_000, seed=18)
     coeffs = estimate_hermite_coefficients(K, 30_000, seed=18)
-    combined = influence_from_hermite_estimates(coeffs, shared_samples=True)
+    combined = influence_from_hermite_estimates(coeffs)
     assert combined.value == pytest.approx(spectral.value, abs=1e-12)
 
 
@@ -124,11 +124,8 @@ def test_influence_from_hermite_validation():
         influence_from_hermite_estimates([])
     a = Estimate(value=0.0, stderr=0.1, samples=100, seed=1)
     b = Estimate(value=0.0, stderr=0.1, samples=100, seed=2)
-    with pytest.raises(ValueError):
-        influence_from_hermite_estimates([a, b], shared_samples=True)
-    out = influence_from_hermite_estimates([a, b], shared_samples=False)
-    assert out.value == 0.0
-    assert out.stderr == pytest.approx(math.sqrt(2.0) * math.hypot(0.1, 0.1))
+    with pytest.raises(ValueError, match="one \\(samples, seed\\) stream"):
+        influence_from_hermite_estimates([a, b])
 
 
 def test_influence_all_zero_coefficients():
@@ -174,7 +171,7 @@ def test_gsa_vs_influence_identity_per_draw():
 
 def test_naz_prime_influence_dominates_inradius_times_gsa():
     params = NazParams(n=8, offset=8.0**0.75, s=12, variant=polytope.GAUSSIAN)
-    K = polytope.sample_naz_prime(params, seed=26)
+    K = polytope.sample_naz(params, seed=26)
     surface = estimate_gsa_facets(K, 8000, seed=27)
     influence = estimate_influence_spectral(K, 60_000, seed=28)
     lower = K.inradius() * surface.value

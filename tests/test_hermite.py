@@ -58,14 +58,6 @@ def test_inner_product_basics():
                             max_degree=2) == pytest.approx(1.0, rel=1e-13)
 
 
-def test_inner_product_node_bookkeeping():
-    with pytest.raises(ValueError):
-        inner_product_gh(lambda x: x, lambda x: x, max_degree=5, nodes=3)
-    # explicit sufficient override is allowed
-    assert inner_product_gh(lambda x: x, lambda x: x, max_degree=1,
-                            nodes=8) == pytest.approx(1.0, rel=1e-13)
-
-
 def test_parseval_mean_and_variance_match_quadrature():
     coeffs = {(0,): 1.0, (1,): 2.0, (2,): -0.5, (3,): 0.25}
 

@@ -114,9 +114,10 @@ def test_node_ladder_budget_and_give_up():
         return abs(val - prev) <= tol
 
     def ladder(give_up_tol):
-        return node_ladder(lambda m: 1.0 / m, 16, settled, 1e-9, give_up_tol, 4, "1/m")
+        return node_ladder(lambda m, live: [1.0 / m], 16, settled, 1e-9, give_up_tol, 4,
+                           lambda i: "1/m", 1)
 
-    assert ladder(1e-2) == 1.0 / 256
+    assert ladder(1e-2) == [1.0 / 256]
     with pytest.raises(QuadratureConvergenceError, match="1/m did not stabilize") as err:
         ladder(1e-3)
     assert err.value.history == [(m, 1.0 / m) for m in (16, 32, 64, 128, 256)]
@@ -124,7 +125,7 @@ def test_node_ladder_budget_and_give_up():
 
 def test_node_ladder_entries_settle_one_by_one():
     # entry i moves by 2^-(i + 2) / m per doubling; each freezes at its own
-    # first settled step, with the value and ladder it gets alone
+    # first settled step, with the value and ladder it gets as a one-entry rule
     def settled(prev, val, tol):
         return abs(val - prev) <= tol
 
@@ -137,8 +138,12 @@ def test_node_ladder_entries_settle_one_by_one():
         seen.append((m, list(live)))
         return [rule(i, m) for i in live]
 
-    got = node_ladder(evaluate, 16, settled, 2e-3, 1e-9, 6, "rule", entries=3)
-    alone = [node_ladder(lambda m, i=i: rule(i, m), 16, settled, 2e-3, 1e-9, 6, "rule")
+    def name(i):
+        return "rule"
+
+    got = node_ladder(evaluate, 16, settled, 2e-3, 1e-9, 6, name, 3)
+    alone = [node_ladder(lambda m, live, i=i: [rule(i, m)], 16, settled, 2e-3, 1e-9, 6,
+                         name, 1)[0]
              for i in range(3)]
     assert got == alone
     assert seen == [(16, [0, 1, 2]), (32, [0, 1, 2]), (64, [0, 1, 2]), (128, [0, 1]),
@@ -146,7 +151,8 @@ def test_node_ladder_entries_settle_one_by_one():
 
 
 def test_node_ladder_entries_raise_the_first_failure():
-    # entries 1 and 2 never settle; the error is entry 1's, as raised alone
+    # entries 1 and 2 never settle; the error is entry 1's, as its one-entry
+    # rule raises it
     def settled(prev, val, tol):
         return abs(val - prev) <= tol
 
@@ -154,10 +160,11 @@ def test_node_ladder_entries_raise_the_first_failure():
         return 0.0 if i == 0 else i / m
 
     with pytest.raises(QuadratureConvergenceError) as alone:
-        node_ladder(lambda m: rule(1, m), 16, settled, 1e-9, 1e-9, 4, "entry 1")
+        node_ladder(lambda m, live: [rule(1, m)], 16, settled, 1e-9, 1e-9, 4,
+                    lambda i: "entry 1", 1)
     with pytest.raises(QuadratureConvergenceError) as batched:
         node_ladder(lambda m, live: [rule(i, m) for i in live], 16, settled, 1e-9, 1e-9,
-                    4, lambda i: f"entry {i}", entries=3)
+                    4, lambda i: f"entry {i}", 3)
     assert str(batched.value) == str(alone.value)
     assert batched.value.history == alone.value.history
 

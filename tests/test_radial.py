@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import log_ndtr
 
 from gsalab import cap, estimators, golden, polytope, radial, specfun
 from gsalab.cap import log_complement_upper_from_ratio, log_F_dilation
@@ -307,7 +308,7 @@ def naz_prime_influence(n, w, s):
     spec = QuadratureSpec.for_dimension(n)
 
     def integrand(rho):
-        log_surv = s * np.array([specfun.log_gaussian_cdf(w / p) for p in rho])
+        log_surv = s * log_ndtr(w / rho)
         return np.exp(specfun.chi_log_density(n, rho) + log_surv) * (n - rho**2)
 
     return integrate_doubling(integrand, max(spec.rho_lo, 1e-9), spec.rho_hi,
@@ -328,7 +329,7 @@ def test_naz_prime_quadrature_against_mc():
     params = NazParams(n=n, offset=w, s=s, variant=polytope.GAUSSIAN)
     values = np.empty(150)
     for d in range(values.size):
-        K = polytope.sample_naz_prime(params, seed=60_000 + d)
+        K = polytope.sample_naz(params, seed=60_000 + d)
         values[d] = estimators.estimate_influence_spectral(K, 20_000, seed=61_000 + d).value
     stderr = values.std(ddof=1) / math.sqrt(values.size)
     quad = naz_prime_influence(n, w, float(s))
@@ -614,6 +615,30 @@ def test_non_finite_s_and_r_raise_at_once(call, value):
     # infinite r left the facet-count optimum unbracketed
     with pytest.raises(ValueError, match=rf"must be finite.*\b{value}$"):
         call()
+
+
+def test_gsa_grid_runs_the_one_point_input_checks():
+    # below n = 4 the grid used to return a value (n = 3) or climb to 524288
+    # nodes and raise a convergence error (n = 2); both now raise as the
+    # one-point call does
+    for n in (2, 3):
+        with pytest.raises(ValueError, match="radial reduction needs n >= 4"):
+            expected_influence_quadrature(n, 0.5, 2.0)
+        with pytest.raises(ValueError, match="radial reduction needs n >= 4"):
+            radial.expected_gsa_grid(n, 0.5, np.array([math.log(2.0)]))
+    for r in (0.0, -1.0):
+        with pytest.raises(ValueError, match="offset r must be > 0"):
+            expected_influence_quadrature(64, r, 2.0)
+        with pytest.raises(ValueError, match="offset r must be > 0"):
+            radial.expected_gsa_grid(64, r, np.array([1.0]))
+
+
+def test_empty_gsa_grid_is_an_empty_array():
+    for empty in ([], np.array([])):
+        got = radial.expected_gsa_grid(64, 2.0, empty)
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+    with pytest.raises(ValueError, match="n >= 4"):
+        radial.expected_gsa_grid(3, 2.0, [])
 
 
 def test_influence_at_infinite_offset_is_the_whole_space_limit():
