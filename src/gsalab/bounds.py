@@ -40,6 +40,21 @@ def nazarov_lower(n: int) -> float:
     return E_M54 * n**0.25
 
 
+def over_inradius(value: float, inradius: float) -> float:
+    """value / inradius, raising ValueError where the quotient overflows.
+
+    A finite value over a tiny inradius (a denormal facet offset, say) would
+    otherwise read as a silent inf.
+    """
+    if not inradius > 0.0:
+        raise ValueError(f"inradius must be > 0, got {inradius}")
+    quotient = value / inradius
+    if math.isfinite(value) and not math.isfinite(quotient):
+        raise ValueError(
+            f"inradius {inradius!r} is too small: {value!r} / inradius overflows a double")
+    return quotient
+
+
 def final_var_upper(n: int, vol: float, inradius: float) -> float:
     """Variance-based surface bound sqrt(2n) sqrt(vol (1 - vol)) / inradius.
 
@@ -50,9 +65,7 @@ def final_var_upper(n: int, vol: float, inradius: float) -> float:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if not 0.0 <= vol <= 1.0:
         raise ValueError(f"vol must be a probability, got {vol}")
-    if not inradius > 0.0:
-        raise ValueError(f"inradius must be > 0, got {inradius}")
-    return math.sqrt(2.0 * n) * math.sqrt(vol * (1.0 - vol)) / inradius
+    return over_inradius(math.sqrt(2.0 * n) * math.sqrt(vol * (1.0 - vol)), inradius)
 
 
 def final_deg2_upper(n: int, hermite_2ei, inradius: float) -> float:
@@ -63,7 +76,5 @@ def final_deg2_upper(n: int, hermite_2ei, inradius: float) -> float:
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    if not inradius > 0.0:
-        raise ValueError(f"inradius must be > 0, got {inradius}")
     ssq = sum(float(c) ** 2 for c in hermite_2ei)
-    return math.sqrt(2.0 * n * ssq) / inradius
+    return over_inradius(math.sqrt(2.0 * n * ssq), inradius)

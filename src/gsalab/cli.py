@@ -204,9 +204,9 @@ def _cmd_gsa(args):
     rows = [
         surface.to_row("gsa-facet-mc"),
         influence.to_row("influence-moment-mc"),
-        _row("influence-over-inradius", influence.value / K.inradius(),
-             stderr=influence.stderr / K.inradius(), samples=influence.samples,
-             seed=influence.seed),
+        _row("influence-over-inradius", bounds.over_inradius(influence.value, K.inradius()),
+             stderr=bounds.over_inradius(influence.stderr, K.inradius()),
+             samples=influence.samples, seed=influence.seed),
     ]
     params = {"n": args.n, "r": args.r, "s": args.s,
               "samples_per_facet": args.samples_per_facet,

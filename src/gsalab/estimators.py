@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng
 from .hermite import SQRT2, h2
-from .polytope import HalfspacePolytope
+from .polytope import HalfspacePolytope, _satisfies_all
 from .specfun import gaussian_pdf
 
 
@@ -136,6 +136,12 @@ def estimate_gsa_facets(K: HalfspacePolytope, samples_per_facet: int, seed: int)
     Facet i draws its g from the chunked stream at path (DOMAIN_BOUNDARY, i),
     so block c is keyed (seed, DOMAIN_BOUNDARY, i, c) and each facet's hit
     count is a stable prefix of any longer run with the same seed.
+
+    Memory: each drawn block (at most rng.CHUNK rows) becomes its
+    in-hyperplane points in place and is tested against the other facets in
+    row tiles of at most polytope._TILE products.  Beyond one copy of the
+    polytope, the transient is O(_TILE), independent of the number of points
+    and facets.
     """
     if samples_per_facet < 2:
         raise ValueError("samples_per_facet must be >= 2")
@@ -146,13 +152,12 @@ def estimate_gsa_facets(K: HalfspacePolytope, samples_per_facet: int, seed: int)
     for i in range(K.num_facets):
         v = normals[i]
         others = np.delete(np.arange(K.num_facets), i)
+        other_normals, other_offsets = normals[others], offsets[others]
         hits = 0
         for g in rng.gaussian_chunks(K.n, samples_per_facet, seed, rng.DOMAIN_BOUNDARY, i):
-            if others.size:
-                y = g - np.outer(g @ v, v) + offsets[i] * v
-                hits += int(np.all(y @ normals[others].T <= offsets[others], axis=1).sum())
-            else:
-                hits += g.shape[0]
+            g -= np.outer(g @ v, v)
+            g += offsets[i] * v
+            hits += int(_satisfies_all(g, other_normals, other_offsets).sum())
         p_hat = hits / samples_per_facet
         density = gaussian_pdf(offsets[i])
         value += density * p_hat

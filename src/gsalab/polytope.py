@@ -22,6 +22,25 @@ GAUSSIAN = "gaussian-normals"
 FIXED = "fixed-normals"
 
 _UNIT_TOL = 1e-12
+# Point-facet products held at once by a membership test, the same budget as
+# radial._BLOCK; a test's transient memory is O(_TILE) whatever its sizes.
+_TILE = 1 << 18
+
+
+def _satisfies_all(points: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Row mask of np.all(points @ normals.T <= offsets, axis=1), in row tiles.
+
+    Each tile takes at most _TILE products (at least one row), and the tiles
+    write into one preallocated bool array.  A product may differ in its last
+    bit from the untiled one, since BLAS blocks each tile on its own; so a
+    hit can only flip for a point within rounding distance of a facet.
+    """
+    mask = np.empty(points.shape[0], dtype=bool)
+    rows = max(1, _TILE // max(1, normals.shape[0]))
+    for start in range(0, points.shape[0], rows):
+        tile = slice(start, start + rows)
+        np.all(points[tile] @ normals.T <= offsets, axis=1, out=mask[tile])
+    return mask
 
 
 @dataclass(frozen=True)
@@ -97,11 +116,16 @@ class HalfspacePolytope:
         return bool(self.contains_points(x[None])[0])
 
     def contains_points(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized membership for an (m, n) array of points."""
+        """Vectorized membership for an (m, n) array of points.
+
+        Runs in row tiles of at most _TILE point-facet products, so beyond
+        the (m,) result its memory is O(_TILE), independent of the number of
+        points and facets.
+        """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.n:
             raise ValueError(f"points must be (m, {self.n})")
-        return np.all(points @ self.normals.T <= self.offsets, axis=1)
+        return _satisfies_all(points, self.normals, self.offsets)
 
     def inradius(self) -> float:
         """Radius of the largest origin-centered inscribed ball.

@@ -79,6 +79,20 @@ def test_final_var_degenerate_volumes():
         bounds.final_var_upper(4, 0.5, 0.0)
 
 
+def test_bounds_over_a_denormal_inradius_raise_naming_it():
+    # a finite bound over an inradius of 1e-310 used to read inf without a word
+    for bound in (lambda: bounds.final_var_upper(4, 0.5, 1e-310),
+                  lambda: bounds.final_deg2_upper(4, [0.1] * 4, 1e-310),
+                  lambda: bounds.over_inradius(0.2, 1e-310)):
+        with pytest.raises(ValueError, match=r"inradius 1e-310 is too small"):
+            bound()
+    # a zero numerator divides to zero, and a tiny inradius that fits stays
+    assert bounds.final_var_upper(4, 0.0, 1e-310) == 0.0
+    assert bounds.over_inradius(1e-10, 1e-300) == 1e-10 / 1e-300
+    with pytest.raises(ValueError, match="inradius must be > 0"):
+        bounds.over_inradius(1.0, 0.0)
+
+
 def test_thin_slab_divergence():
     # bound / true surface area blows up for a thin slab: counterexample to
     # any hope that the variance bound alone is uniformly tight

@@ -118,6 +118,41 @@ def test_ball_radius_past_the_double_range_exits_one(capsys):
     assert err.startswith("error: radius 1e+200 is too large")
 
 
+@pytest.mark.parametrize("argv", [
+    ["influence", "--n", "4", "--body", "naz", "--r", "1e-310", "--s", "2",
+     "--samples", "100"],
+    ["gsa", "--n", "4", "--r", "1e-310", "--s", "2", "--samples", "100",
+     "--samples-per-facet", "10"],
+])
+def test_denormal_facet_offset_exits_one_naming_the_inradius(argv, tmp_path, capsys):
+    # both commands used to exit 0 with inf bounds and Infinity in the JSON
+    out = tmp_path / "report.json"
+    assert run(argv + ["--json", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: inradius 1e-310 is too small")
+    assert not out.exists()
+
+
+def test_gsa_at_five_thousand_facets_peaks_below_100_mb():
+    # the membership tests used to build whole (points x facets) matrices:
+    # influence's 4096 x 5000 float64 product alone made this peak at 215 MB
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # VmHWM is the peak of the child's own address space; its ru_maxrss would
+    # also count the test process's pages at the fork that spawned it
+    code = ("import sys; from gsalab.cli import main; "
+            "code = main(['gsa', '--n', '16', '--r', '2', '--s', '5000', "
+            "'--samples-per-facet', '2', '--samples', '4096']); "
+            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0]); "
+            "sys.exit(code)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    peak_mb = int(done.stdout.split()[-1]) / 1024  # VmHWM is in kB
+    assert peak_mb < 100.0
+
+
 def test_scan_csv_deterministic(tmp_path):
     first = tmp_path / "scan1.csv"
     second = tmp_path / "scan2.csv"

@@ -212,6 +212,27 @@ def test_gsa_facets_frozen_regression():
     assert (est.samples, est.seed) == (5000, 23)
 
 
+def test_gsa_facets_frozen_regression_across_row_tiles():
+    # captured before membership ran in row tiles: 299 other facets make
+    # each 1500-row block span two tiles of 876 rows
+    K = polytope.sample_naz(NazParams(n=8, offset=1.4, s=300), seed=31)
+    assert polytope._TILE // (K.num_facets - 1) < 1500
+    est = estimate_gsa_facets(K, 1500, seed=37)
+    assert est.value == 0.22868374918099457
+    assert est.stderr == 0.004764405946124518
+
+
+def test_influence_and_volume_frozen_regression_across_row_tiles():
+    # captured before membership ran in row tiles: 200 facets split the
+    # 4096-row chunk into tiles of 1310 rows and the 1904-row tail into two
+    K = polytope.sample_naz(NazParams(n=16, offset=2.0, s=200), seed=41)
+    assert polytope._TILE // K.num_facets < 1904
+    influence = estimate_influence_spectral(K, 6000, seed=43)
+    assert (influence.value, influence.stderr) == (1.090706594782663, 0.0339433489948323)
+    volume = estimate_volume(K, 6000, seed=43)
+    assert (volume.value, volume.stderr) == (0.16716666666666666, 0.004817419429393378)
+
+
 def test_estimators_draw_only_the_normals_they_use(monkeypatch):
     K = polytope.sample_naz(NazParams(n=5, offset=1.2, s=7), seed=17)
     drawn = []

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,3 +208,54 @@ def test_ball_radius_whose_square_is_not_a_finite_double_is_rejected():
             Ball(n=4, radius=radius)
     big = Ball(n=2, radius=1e154)
     assert big.contains_points(np.array([[0.0, 0.0], [1e153, 1e153]])).tolist() == [True, True]
+
+
+def _untiled(points, normals, offsets):
+    return np.all(points @ normals.T <= offsets, axis=1)
+
+
+def test_membership_tiles_are_exactly_the_untiled_mask(monkeypatch):
+    # signed unit-axis normals make every product exact, so any tiling must
+    # give the untiled mask bit for bit, ties, NaN and infinities included
+    normals = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]])
+    offsets = np.array([1.0, 1.0, 2.0, 0.5, 3.0])
+    grid = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, np.nan, np.inf, -np.inf])
+    points = np.stack(np.meshgrid(grid, grid, grid[:8], indexing="ij"), -1).reshape(-1, 3)
+    points = np.vstack([points, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [-1.0, -0.5, 3.0]]])
+    cases = [(points, normals, offsets),
+             (points, normals[2:3], offsets[2:3]),  # one facet
+             (points[:0], normals, offsets)]  # zero rows
+    K = HalfspacePolytope(normals, offsets)
+    # the untiled mask itself is what every tiling must give; the last rows
+    # are interior points and ties, so a skipped or ragged last tile cannot
+    # pass on leftover memory
+    with np.errstate(invalid="ignore"):  # inf * 0 in the products is NaN
+        whole = _untiled(points, normals, offsets)
+        assert whole[-3:].all()
+        for tile in (1, 5, 12, 37, 1 << 18):  # one row per tile up to one tile in all
+            monkeypatch.setattr(polytope, "_TILE", tile)
+            for pts, nrm, off in cases:
+                expected = _untiled(pts, nrm, off)
+                got = polytope._satisfies_all(pts, nrm, off)
+                assert got.dtype == bool and got.shape == expected.shape
+                assert np.array_equal(got, expected), (tile, nrm.shape)
+            assert np.array_equal(K.contains_points(points), whole)
+
+
+def test_membership_peak_memory_is_one_tile():
+    gen = np.random.default_rng(11)
+    normals = gen.standard_normal((5000, 16))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    K = HalfspacePolytope(normals, np.full(5000, 2.0))
+    points = gen.standard_normal((4096, 16))
+    tracemalloc.start()
+    try:
+        inside = K.contains_points(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inside.shape == (4096,)
+    # one tile of 2^18 float64 products and their bool copy, plus the result,
+    # is about 2.4 MB; the whole 4096 x 5000 product and its copy used to
+    # peak at about 184 MB
+    assert peak < 8e6
