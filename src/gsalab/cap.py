@@ -15,6 +15,7 @@ complements far below 1e-300 keep nine significant digits in the log.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ _BETACF_ITMAX = 2000
 _BETACF_EPS = 1e-15
 _BETACF_BLOCK = 16  # values of m whose numerators one outer product forms
 _FPMIN = 1e-300
+_LOG_MAX = math.log(sys.float_info.max)  # about 709.78: math.exp overflows above this
 
 
 @dataclass(frozen=True)
@@ -235,12 +237,20 @@ def cap_complement_upper_G(q: CapQuery) -> float:
 
     G = tau_n * ||x|| / (r (n-3)) * exp(-r^2 (n-3) / (2 ||x||^2)); it depends
     on (n, r/||x||) only and dominates the exact complement for n >= 4.
+    A ratio r/||x|| so small that G passes the largest double raises
+    ValueError naming ln G.
     """
     if q.n <= 3:
         raise ValueError(f"complement bound needs n >= 4, got {q.n}")
     if not (0.0 < q.r <= q.norm_x):
         raise ValueError(f"complement bound needs 0 < r <= ||x||, got r={q.r}, ||x||={q.norm_x}")
-    return math.exp(log_complement_upper_from_ratio(q.n, q.r / q.norm_x))
+    log_g = log_complement_upper_from_ratio(q.n, q.r / q.norm_x)
+    if log_g > _LOG_MAX:
+        raise ValueError(
+            f"complement bound at (n={q.n}, r={q.r}, ||x||={q.norm_x}): ln G = {log_g:.6g} "
+            f"is beyond the double range (G must stay below the largest double, "
+            f"ln G <= {_LOG_MAX:.2f})")
+    return math.exp(log_g)
 
 
 def log_F_dilation(n: int, r: float, rho):

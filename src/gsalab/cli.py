@@ -6,6 +6,7 @@ schemas/report.schema.json), or RFC-4180 CSV.  Exit codes: 0 success,
 1 validation error or a value outside the double range (ArithmeticError),
 2 numerical non-convergence, 3 invariant violation found by selftest.  On
 exit code 2 the JSON document has no rows and an `error` object instead.
+Every JSON document is strict: a non-finite number is written as null.
 """
 
 from __future__ import annotations
@@ -51,9 +52,7 @@ def _emit(args, command, params, rows, columns, echo=True):
         "rows": rows,
     }
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(args.json, doc)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=columns, quoting=csv.QUOTE_MINIMAL)
@@ -79,7 +78,25 @@ def _emit(args, command, params, rows, columns, echo=True):
 
 
 def _finite_or_none(value):
-    return value if not isinstance(value, float) or math.isfinite(value) else None
+    """value with every non-finite float in it, nested lists and dicts too, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_none(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(item) for item in value]
+    return value
+
+
+def _write_json(path, doc):
+    """Write a report document as strict JSON: non-finite numbers become null.
+
+    Success and failure documents both go through here, so no report holds
+    the NaN or Infinity tokens that standard JSON parsers reject.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_finite_or_none(doc), fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def _emit_failure(args, exc):
@@ -87,12 +104,11 @@ def _emit_failure(args, exc):
 
     The document has no rows; its `error` object carries the message and,
     for a QuadratureConvergenceError, the node ladder as [nodes, value]
-    pairs.  Non-finite numbers are written as null.
+    pairs.
     """
-    params = {key: _finite_or_none(value) for key, value in vars(args).items()
+    params = {key: value for key, value in vars(args).items()
               if key not in ("func", "command", "json", "csv")}
-    ladder = [[nodes, _finite_or_none(float(value))]
-              for nodes, value in getattr(exc, "history", [])]
+    ladder = [[nodes, float(value)] for nodes, value in getattr(exc, "history", [])]
     doc = {
         "command": args.command,
         "schema_version": SCHEMA_VERSION,
@@ -101,9 +117,7 @@ def _emit_failure(args, exc):
         "rows": [],
         "error": {"message": str(exc), "history": ladder},
     }
-    with open(args.json, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+    _write_json(args.json, doc)
 
 
 def _svg_chart(path, reports):

@@ -137,27 +137,31 @@ def estimate_gsa_facets(K: HalfspacePolytope, samples_per_facet: int, seed: int)
     so block c is keyed (seed, DOMAIN_BOUNDARY, i, c) and each facet's hit
     count is a stable prefix of any longer run with the same seed.
 
+    Every block is tested against all s facets as stored, with facet i's
+    offset lifted to +inf in one working copy of the offsets while facet i
+    runs, so its own in-hyperplane points pass it whatever their rounding.
+
     Memory: each drawn block (at most rng.CHUNK rows) becomes its
-    in-hyperplane points in place and is tested against the other facets in
-    row tiles of at most polytope._TILE products.  Beyond one copy of the
-    polytope, the transient is O(_TILE), independent of the number of points
-    and facets.
+    in-hyperplane points in place and is tested in row tiles of at most
+    polytope._TILE products.  Beyond one working copy of the s offsets, the
+    transient is O(_TILE), independent of the number of points and facets.
     """
     if samples_per_facet < 2:
         raise ValueError("samples_per_facet must be >= 2")
     normals = K.normals
     offsets = K.offsets
+    lifted = offsets.copy()
     value = 0.0
     variance = 0.0
     for i in range(K.num_facets):
         v = normals[i]
-        others = np.delete(np.arange(K.num_facets), i)
-        other_normals, other_offsets = normals[others], offsets[others]
+        lifted[i] = np.inf
         hits = 0
         for g in rng.gaussian_chunks(K.n, samples_per_facet, seed, rng.DOMAIN_BOUNDARY, i):
             g -= np.outer(g @ v, v)
             g += offsets[i] * v
-            hits += int(_satisfies_all(g, other_normals, other_offsets).sum())
+            hits += int(_satisfies_all(g, normals, lifted).sum())
+        lifted[i] = offsets[i]
         p_hat = hits / samples_per_facet
         density = gaussian_pdf(offsets[i])
         value += density * p_hat

@@ -28,14 +28,13 @@ g ~ N(0, 1/2) (L(1) = 0.30127), from above at a rate of order n^(-1/2).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .cap import (cap_log_complement_from_ratio, log_complement_upper_from_ratio,
-                  log_F_dilation)
+from .cap import (_LOG_MAX, cap_log_complement_from_ratio,
+                  log_complement_upper_from_ratio, log_F_dilation)
 from .golden import golden_section_max
 from .quadrature import composite_nodes, integrate_doubling, node_ladder
 from .specfun import chi_log_density, log1mexp, log_tau_n
@@ -50,7 +49,6 @@ _CHAIN_SLACK = 1e-10
 _COARSE_GRID = 48
 _SHELL_GRID = 513
 _LOG_UNDERFLOW = -746.0  # math.exp is exactly 0.0 below this
-_LOG_MAX = math.log(sys.float_info.max)  # about 709.78: math.exp overflows above this
 _BLOCK = 1 << 18  # log integrands per array when many s climb the ladder together
 
 

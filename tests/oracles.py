@@ -4,11 +4,15 @@ Not collected by pytest (the name does not match test_*.py); the test
 modules import it from their own directory.
 """
 
+import math
+
 import numpy as np
 
-from gsalab import cap
+from gsalab import cap, rng
+from gsalab.estimators import Estimate
+from gsalab.polytope import _satisfies_all
 from gsalab.quadrature import integrate_doubling
-from gsalab.specfun import chi_log_density
+from gsalab.specfun import chi_log_density, gaussian_pdf
 
 
 def ball_influence_quadrature(n: int, R: float) -> float:
@@ -70,3 +74,34 @@ def betacf_reference(a: float, b: float, x: np.ndarray) -> np.ndarray:
             f"incomplete beta continued fraction stalled at a={a}, b={b}"
         )
     return h
+
+
+def facet_pass_reference(K, samples_per_facet: int, seed: int) -> Estimate:
+    """The copy-based facet loop `estimators.estimate_gsa_facets` replaced.
+
+    For every facet i it copies the other s - 1 normals and offsets and tests
+    the in-hyperplane points against that copy; kept as the bitwise oracle
+    of the pass that tests against the polytope as stored.
+    """
+    if samples_per_facet < 2:
+        raise ValueError("samples_per_facet must be >= 2")
+    normals = K.normals
+    offsets = K.offsets
+    value = 0.0
+    variance = 0.0
+    for i in range(K.num_facets):
+        v = normals[i]
+        others = np.delete(np.arange(K.num_facets), i)
+        other_normals, other_offsets = normals[others], offsets[others]
+        hits = 0
+        for g in rng.gaussian_chunks(K.n, samples_per_facet, seed, rng.DOMAIN_BOUNDARY, i):
+            g -= np.outer(g @ v, v)
+            g += offsets[i] * v
+            hits += int(_satisfies_all(g, other_normals, other_offsets).sum())
+        p_hat = hits / samples_per_facet
+        density = gaussian_pdf(offsets[i])
+        value += density * p_hat
+        sample_var = p_hat * (1.0 - p_hat) * samples_per_facet / (samples_per_facet - 1)
+        variance += density**2 * sample_var / samples_per_facet
+    return Estimate(value=value, stderr=math.sqrt(variance),
+                    samples=samples_per_facet, seed=seed)

@@ -195,6 +195,15 @@ def test_complement_bound_rejections():
         cap.cap_complement_upper_G(CapQuery(5, 1.0, 0.0))
 
 
+@pytest.mark.parametrize("norm, r", [(1.0, 1e-320), (1e300, 1e-10)])
+def test_complement_bound_past_the_double_range_names_ln_g(norm, r):
+    # math.exp of ln G used to raise a bare OverflowError ('math range error')
+    with pytest.raises(ValueError, match=r"ln G = 7\d\d\.\d+ is beyond the double range"):
+        cap.cap_complement_upper_G(CapQuery(4, norm, r))
+    # a ratio whose ln G stays inside the range still computes
+    assert math.isfinite(cap.cap_complement_upper_G(CapQuery(4, 1.0, 1e-300)))
+
+
 def test_complement_bound_dominates_exact():
     for n in (5, 10, 50, 200):
         for u in (0.05, 0.1, 0.3, 0.9):

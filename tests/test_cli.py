@@ -248,6 +248,16 @@ def test_facet_count_past_the_double_range_is_a_clear_error(argv, capsys):
     assert err.startswith("error: ") and "ln s = " in err and "double range" in err
 
 
+@pytest.mark.parametrize("norm, r", [("1", "1e-320"), ("1e300", "1e-10")])
+def test_cap_bound_past_the_double_range_exits_one_naming_ln_g(norm, r, tmp_path, capsys):
+    # these printed 'error: math range error' from a bare OverflowError
+    out = tmp_path / "cap.json"
+    assert run(["cap", "--n", "4", "--norm", norm, "--r", r, "--json", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "ln G = " in err and "double range" in err
+    assert not out.exists()
+
+
 def test_selftest_passes():
     assert run(["selftest"]) == 0
 
@@ -294,6 +304,18 @@ def _strict_json(path):
         raise ValueError(f"non-finite number {constant} in {path}")
 
     return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_successful_report_writes_non_finite_values_as_null(tmp_path, capsys):
+    # at alpha = 1e-6 the Bernoulli step is vacuous and 1 - s G^2 e^G
+    # overflows, so the report used to hold `-Infinity`
+    out = tmp_path / "scan.json"
+    assert run(["scan", "--n", "64", "--alpha", "1e-6", "--json", str(out)]) == 0
+    doc = _strict_json(out)
+    jsonschema.validate(doc, load_schema())
+    (row,) = doc["rows"]
+    assert row["stitch_factor_min"] is None and row["n"] == 64
+    assert "ratio_to_n14=" in capsys.readouterr().out
 
 
 def test_convergence_failure_leaves_a_json_record(tmp_path, capsys):

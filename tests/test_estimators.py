@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gsalab import cap, estimators, polytope, rng, specfun
 from gsalab.estimators import (Estimate, estimate_gsa_facets, estimate_hermite_2ei,
@@ -10,7 +12,7 @@ from gsalab.estimators import (Estimate, estimate_gsa_facets, estimate_hermite_2
                                influence_from_hermite_estimates)
 from gsalab.polytope import Ball, HalfspacePolytope, NazParams
 
-from oracles import ball_influence_quadrature
+from oracles import ball_influence_quadrature, facet_pass_reference
 
 
 def slab_1d(theta):
@@ -220,6 +222,34 @@ def test_gsa_facets_frozen_regression_across_row_tiles():
     est = estimate_gsa_facets(K, 1500, seed=37)
     assert est.value == 0.22868374918099457
     assert est.stderr == 0.004764405946124518
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 6), s=st.integers(1, 300), spf=st.integers(2, 1200),
+       offset=st.floats(0.2, 3.0), gaussian=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=3, s=300, spf=1200, offset=1.0, gaussian=False, seed=5)  # 873-row tiles
+@example(n=2, s=1, spf=2, offset=0.5, gaussian=True, seed=0)
+def test_gsa_facets_is_bit_for_bit_the_copying_loop(n, s, spf, offset, gaussian, seed):
+    # testing against all s facets with facet i lifted to +inf must count
+    # exactly the hits of the loop that copied the other s - 1 facets, also
+    # where a block splits into row tiles of a different height
+    variant = polytope.GAUSSIAN if gaussian else polytope.UNIT_SPHERE
+    K = polytope.sample_naz(NazParams(n=n, offset=offset, s=s, variant=variant), seed)
+    assert estimate_gsa_facets(K, spf, seed) == facet_pass_reference(K, spf, seed)
+
+
+def test_gsa_facets_tests_the_polytope_as_stored(monkeypatch):
+    K = polytope.sample_naz(NazParams(n=5, offset=1.2, s=7), seed=17)
+    seen = []
+    real = estimators._satisfies_all
+
+    def spy(points, normals, offsets):
+        seen.append(normals is K.normals)
+        return real(points, normals, offsets)
+
+    monkeypatch.setattr(estimators, "_satisfies_all", spy)
+    estimate_gsa_facets(K, 5000, seed=23)
+    assert len(seen) == 2 * K.num_facets and all(seen)
 
 
 def test_influence_and_volume_frozen_regression_across_row_tiles():

@@ -123,6 +123,16 @@ def test_contains_closed_boundary():
     assert not box.contains(np.array([1.0 + 1e-9, 0.0]))
 
 
+@pytest.mark.parametrize("x", [[-math.inf, 0.0], [0.0, math.inf], [math.nan, 0.0]])
+def test_contains_rejects_a_non_finite_point(x):
+    # (-inf, 0) used to read outside, with an 'invalid value encountered in
+    # matmul' warning, although (-1e300, 0) reads inside
+    box = HalfspacePolytope(np.eye(2), np.array([1.0, 1.0]))
+    assert box.contains(np.array([-1e300, 0.0]))
+    with pytest.raises(ValueError, match="point must be finite"):
+        box.contains(np.array(x))
+
+
 def test_inradius_naz_and_inscribed_ball():
     state = np.random.default_rng(12)
     for k in range(20):
