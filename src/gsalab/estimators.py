@@ -91,16 +91,13 @@ def estimate_influence_spectral(body, samples: int, seed: int) -> Estimate:
     return _mc_over_body(body, samples, seed, weight)
 
 
-def estimate_hermite_2ei(body, axis: int, samples: int, seed: int) -> Estimate:
-    """Degree-2 diagonal coefficient E[1_body(x) h2(x_axis)], axis 0-based."""
-    if not 0 <= axis < body.n:
-        raise ValueError(f"axis {axis} out of range for dimension {body.n}")
-    return _mc_over_body(body, samples, seed, lambda block: h2(block[:, axis]))
-
-
 def estimate_hermite_coefficients(body, samples: int, seed: int) -> list[Estimate]:
-    """All n degree-2 diagonal coefficients on one shared point stream."""
-    return [estimate_hermite_2ei(body, i, samples, seed) for i in range(body.n)]
+    """The n degree-2 diagonal coefficients E[1_body(x) h2(x_i)], i 0-based.
+
+    Each is one pass over the same shared point stream.
+    """
+    return [_mc_over_body(body, samples, seed, lambda block, i=i: h2(block[:, i]))
+            for i in range(body.n)]
 
 
 def influence_from_hermite_estimates(coeffs) -> Estimate:

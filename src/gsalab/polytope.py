@@ -4,12 +4,12 @@ One sampler draws both variants.  The primary one draws s uniform unit
 normals and puts every facet at common distance r from the origin; the
 variant draws raw Gaussian normals with a common raw offset w and stores them
 normalized, so both produce the same representation: unit normals plus
-per-facet offsets.
+per-facet offsets.  A polytope does not keep its seed: sample_naz is
+deterministic in (params, seed), and every report records the seed.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -79,7 +79,6 @@ class HalfspacePolytope:
     normals: np.ndarray
     offsets: np.ndarray
     variant: str = FIXED
-    seed: int | None = None
 
     def __post_init__(self):
         normals = np.asarray(self.normals, dtype=float)
@@ -144,33 +143,6 @@ class HalfspacePolytope:
         """
         return float(self.offsets.min())
 
-    def dilate(self, factor: float) -> "HalfspacePolytope":
-        """Scale the body about the origin: offsets multiply by factor."""
-        if not factor > 0.0:
-            raise ValueError(f"dilation factor must be > 0, got {factor}")
-        return HalfspacePolytope(self.normals, self.offsets * factor,
-                                 variant=self.variant, seed=self.seed)
-
-    def to_json(self) -> str:
-        """Reproducibility dump: {n, variant, seed, normals, offsets}."""
-        return json.dumps(
-            {
-                "n": self.n,
-                "variant": self.variant,
-                "seed": self.seed,
-                "normals": self.normals.tolist(),
-                "offsets": self.offsets.tolist(),
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "HalfspacePolytope":
-        doc = json.loads(text)
-        return cls(np.array(doc["normals"], dtype=float),
-                   np.array(doc["offsets"], dtype=float),
-                   variant=doc["variant"], seed=doc["seed"])
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -232,4 +204,4 @@ def sample_naz(params: NazParams, seed: int) -> HalfspacePolytope:
         g, norm = _facet_normal(params, seed, i)
         normals[i] = g / norm
         offsets[i] = params.offset if params.variant == UNIT_SPHERE else params.offset / norm
-    return HalfspacePolytope(normals, offsets, variant=params.variant, seed=seed)
+    return HalfspacePolytope(normals, offsets, variant=params.variant)

@@ -1,8 +1,8 @@
-"""Gaussian special functions and tail bounds.
+"""Gaussian special functions.
 
 Everything downstream (cap measures, the radial pipeline) leans on these
 primitives, so they are kept exact and log-space friendly.  The Gaussian
-tail, Mills-ratio, gamma and tau_n helpers take one number; log1mexp and
+density, gamma and tau_n helpers take one number; log1mexp and
 chi_log_density are vectorized and return a float for a scalar argument.
 branchwise is the branch dispatch of log1mexp and of cap's vectorized
 functions: an array that takes one branch skips the masks.  Large
@@ -13,47 +13,15 @@ compute in logs first, exponentiate last.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class TailSandwich:
-    """Two-sided Mills-ratio bracket for the standard Gaussian upper tail."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper <= 1.0):
-            raise ValueError(f"invalid sandwich: lower={self.lower}, upper={self.upper}")
-
-
 def gaussian_pdf(x: float) -> float:
     """Standard normal density (2*pi)^(-1/2) * exp(-x^2/2)."""
     return math.exp(-0.5 * x * x) / SQRT_2PI
-
-
-def gaussian_tail(t: float) -> float:
-    """P[N(0,1) >= t], evaluated through erfc for stable far tails."""
-    return 0.5 * math.erfc(t / math.sqrt(2.0))
-
-
-def mills_sandwich(t: float) -> TailSandwich:
-    """Bracket P[N(0,1) >= t] by (1/t - 1/t^3) phi(t) <= . <= phi(t)/t.
-
-    The lower expression is negative for t <= 1 and is clamped at zero; the
-    upper one exceeds one for small t and is clamped at one.
-    """
-    if not t > 0.0:
-        raise ValueError(f"mills_sandwich requires t > 0, got {t}")
-    density = gaussian_pdf(t)
-    lower = max(0.0, (1.0 / t - 1.0 / t**3) * density)
-    upper = min(1.0, density / t)
-    return TailSandwich(lower=lower, upper=upper)
 
 
 def log_gamma(a: float) -> float:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -316,6 +317,19 @@ def test_successful_report_writes_non_finite_values_as_null(tmp_path, capsys):
     (row,) = doc["rows"]
     assert row["stitch_factor_min"] is None and row["n"] == 64
     assert "ratio_to_n14=" in capsys.readouterr().out
+
+
+def test_csv_writes_a_non_finite_value_as_an_empty_cell(tmp_path):
+    # the same vacuous stitch step the JSON report writes as null used to
+    # reach the CSV as `-inf`
+    out = tmp_path / "scan.csv"
+    assert run(["scan", "--n", "64", "--alpha", "1e-6", "--csv", str(out)]) == 0
+    with out.open(newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["stitch_factor_min"] == ""
+    for column, cell in row.items():
+        if column != "stitch_factor_min":
+            assert math.isfinite(float(cell)), (column, cell)
 
 
 def test_convergence_failure_leaves_a_json_record(tmp_path, capsys):

@@ -6,8 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gsalab import cap, estimators, polytope, rng, specfun
-from gsalab.estimators import (Estimate, estimate_gsa_facets, estimate_hermite_2ei,
-                               estimate_hermite_coefficients,
+from gsalab.estimators import (Estimate, estimate_gsa_facets, estimate_hermite_coefficients,
                                estimate_influence_spectral, estimate_volume,
                                influence_from_hermite_estimates)
 from gsalab.polytope import Ball, HalfspacePolytope, NazParams
@@ -86,7 +85,7 @@ def test_influence_spectral_ball_oracle(n, R):
 
 def test_hermite_full_space_zero():
     huge = HalfspacePolytope(np.array([[1.0] + [0.0] * 3]), np.array([1e9]))
-    est = estimate_hermite_2ei(huge, 0, 50_000, seed=4)
+    est = estimate_hermite_coefficients(huge, 50_000, seed=4)[0]
     assert abs(est.value) <= 4 * est.stderr
 
 
@@ -94,15 +93,8 @@ def test_hermite_slab_closed_form():
     # integral of h2 phi over [-t, t] is -sqrt(2) t phi(t), by parts
     theta = 1.0
     oracle = -math.sqrt(2.0) * theta * specfun.gaussian_pdf(theta)
-    est = estimate_hermite_2ei(slab_1d(theta), 0, 200_000, seed=5)
+    est = estimate_hermite_coefficients(slab_1d(theta), 200_000, seed=5)[0]
     assert combined_gate(est, oracle)
-
-
-def test_hermite_axis_validation():
-    with pytest.raises(ValueError):
-        estimate_hermite_2ei(Ball(n=3, radius=1.0), 3, 100, seed=0)
-    with pytest.raises(ValueError):
-        estimate_hermite_2ei(Ball(n=3, radius=1.0), -1, 100, seed=0)
 
 
 def test_hermite_ball_symmetry():

@@ -1,11 +1,8 @@
-import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gsalab import cap, polytope, rng
 from gsalab.polytope import Ball, HalfspacePolytope, NazParams
@@ -150,32 +147,6 @@ def test_inradius_naz_prime():
     assert K.inradius() == pytest.approx(K.offsets.min())
 
 
-def test_dilate_identity_and_offsets():
-    K = polytope.sample_naz(NazParams(n=4, offset=1.5, s=6), seed=9)
-    same = K.dilate(1.0)
-    assert np.array_equal(same.offsets, K.offsets)
-    grown = K.dilate(1.25)
-    assert np.allclose(grown.offsets, 1.5 * 1.25)
-    assert np.array_equal(grown.normals, K.normals)
-    with pytest.raises(ValueError):
-        K.dilate(0.0)
-
-
-def test_dilate_monotone():
-    K = polytope.sample_naz(NazParams(n=4, offset=1.0, s=8), seed=13)
-    points = rng.stream(2, 9).standard_normal((1000, 4))
-    inside = K.contains_points(points)
-    bigger = K.dilate(2.0).contains_points(points)
-    assert np.all(bigger[inside])
-
-
-@given(st.floats(min_value=0.1, max_value=10.0), st.floats(min_value=0.1, max_value=10.0))
-@settings(max_examples=60, deadline=None)
-def test_dilate_composes_exactly(a, b):
-    K = polytope.sample_naz(NazParams(n=3, offset=1.0, s=4), seed=1)
-    assert np.array_equal(K.dilate(a).dilate(b).offsets, K.dilate(a * b).offsets)
-
-
 def test_polytope_validation():
     with pytest.raises(ValueError):
         HalfspacePolytope(np.array([[2.0, 0.0]]), np.array([1.0]))
@@ -184,17 +155,6 @@ def test_polytope_validation():
     with pytest.raises(ValueError):
         HalfspacePolytope(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 2.0]),
                           variant=polytope.UNIT_SPHERE)
-
-
-def test_json_roundtrip_schema():
-    K = polytope.sample_naz(NazParams(n=3, offset=1.0, s=5), seed=21)
-    doc = json.loads(K.to_json())
-    assert set(doc) == {"n", "variant", "seed", "normals", "offsets"}
-    assert doc["n"] == 3 and doc["seed"] == 21
-    back = HalfspacePolytope.from_json(K.to_json())
-    assert np.array_equal(back.normals, K.normals)
-    assert np.array_equal(back.offsets, K.offsets)
-    assert back.variant == K.variant and back.seed == K.seed
 
 
 def test_ball_basics():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, ndtr
 
 from gsalab import cap, estimators, golden, polytope, radial, specfun
 from gsalab.cap import log_complement_upper_from_ratio, log_F_dilation
@@ -319,7 +319,7 @@ def test_naz_prime_expected_influence_scales_like_sqrt_n():
     # Gaussian-normal variant at w = n^(3/4) with s = exp(Theta(sqrt(n)))
     for n in (64, 256, 1024):
         w = n**0.75
-        s = max(1.0, round(1.0 / specfun.gaussian_tail(n**0.25)))
+        s = max(1.0, round(1.0 / float(ndtr(-n**0.25))))
         value = naz_prime_influence(n, w, s)
         assert value / math.sqrt(n) >= 0.25, (n, value)
 

@@ -41,16 +41,30 @@ def test_a_falsified_hypothesis_example_does_not_hide_later_tests(tmp_path):
     assert proc.returncode == 1
 
 
+# Public definitions that only the selftest calls, kept on purpose as the
+# independent second route a headline number is checked against:
+# cap_probability_quadrature integrates the cap measure in the angle variable,
+# where cap_probability reads it off the incomplete beta function.
+SELFTEST_ORACLES = {"cap_probability_quadrature"}
+
+
+def _is_selftest(path, top):
+    return path.name == "cli.py" and getattr(top, "name", None) == "_selftest_checks"
+
+
 def test_every_public_definition_has_a_caller_in_the_package():
     # a public module-level def or class that only tests call is code the
-    # program does not need; __init__ re-exports do not count as callers
+    # program does not need; __init__ re-exports do not count as callers,
+    # and neither does the selftest, which would otherwise keep alive any
+    # code it checks
     trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     uses = [(node.id if isinstance(node, ast.Name) else node.attr, top)
             for path, tree in trees.items() if path.name != "__init__.py"
-            for top in tree.body for node in ast.walk(top)
+            for top in tree.body if not _is_selftest(path, top) for node in ast.walk(top)
             if isinstance(node, (ast.Name, ast.Attribute))]
     unused = [f"{path.name}::{d.name}"
               for path, tree in trees.items() for d in tree.body
               if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_")
+              and d.name not in SELFTEST_ORACLES
               and not any(name == d.name and top is not d for name, top in uses)]
     assert unused == []
