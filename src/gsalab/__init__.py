@@ -2,8 +2,9 @@
 
 Exact spherical-cap measures, convex-influence identities, random halfspace
 polytopes, Monte Carlo estimators with standard errors, and the radial
-quadrature pipeline whose scalar optimization recovers the shell
-lower-bound constant e^(-5/4).
+quadrature pipeline with its shell lower-bound chain, whose constant c1 is
+read at its closed-form stationary point, where the shell lower-bound
+constant is e^(-5/4).
 """
 
 from .bounds import ball_upper, final_deg2_upper, final_var_upper, nazarov_lower, raic_upper
@@ -13,10 +14,9 @@ from .estimators import (Estimate, estimate_gsa_facets, estimate_hermite_coeffic
                          estimate_influence_spectral, estimate_volume,
                          influence_from_hermite_estimates)
 from .polytope import Ball, HalfspacePolytope, NazParams, sample_naz
-from .radial import (ChainViolationError, LowerBoundReport, QuadratureSpec, ShellA,
-                     choose_s, expected_gsa, expected_influence_quadrature,
-                     lower_bound_chain, optimal_c1, optimize_s, scan_report,
-                     shell_for)
+from .radial import (ChainViolationError, LowerBoundReport, QuadratureSpec, choose_s,
+                     expected_gsa, expected_influence_quadrature, lower_bound_chain,
+                     optimal_c1, optimize_s, scan_report, shell_for)
 from .specfun import chi_log_density, gaussian_pdf, log_gamma, tau_n
 
 __version__ = "0.1.0"

@@ -231,6 +231,7 @@ def _cmd_gsa(args):
 
 def _cmd_quad(args):
     r = args.r if args.r is not None else args.alpha * args.n**0.25
+    alpha = r / args.n**0.25
     influence = radial.expected_influence_quadrature(args.n, r, float(args.s))
     rows = [
         _row("expected-influence-quadrature", influence),
@@ -239,11 +240,13 @@ def _cmd_quad(args):
         _row("upper-ball", bounds.ball_upper(args.n)),
         _row("limit-reference-curve", bounds.nazarov_lower(args.n)),
     ]
-    params = {"n": args.n, "r": r, "alpha": args.alpha, "s": args.s, "seed": args.seed}
+    params = {"n": args.n, "r": r, "alpha": alpha, "s": args.s, "seed": args.seed}
     return _emit(args, "quad", params, rows, MEASUREMENT_COLUMNS)
 
 
 def _cmd_optimize(args):
+    if args.n is None and args.r is not None:
+        raise ValueError("--r needs --n: the offset only sets the facet-count rows")
     c1_star, limit_value = radial.optimal_c1()
     rows = [
         _row("optimal-c1", c1_star),
@@ -254,7 +257,8 @@ def _cmd_optimize(args):
         r = args.r if args.r is not None else args.n**0.25
         params["r"] = r
         s_rule = radial.choose_s(args.n, r, c1_star)
-        s_star, gsa = radial.optimize_s(args.n, r)
+        s_star = radial.optimize_s(args.n, r)
+        gsa = radial.expected_gsa(args.n, r, float(s_star))
         rows.extend([
             _row("facet-count-rule", s_rule),
             _row("facet-count-optimal", s_star),
@@ -355,8 +359,7 @@ def _selftest_checks():
         # grid each must be the grid minimum, also where F peaks inside the
         # shell (r = 0.9 at n = 64)
         for n, r, s in ((64, 0.9, 29.0), (256, 4.0, 35720.0), (65536, 14.4, 4e46)):
-            shell = radial.shell_for(n)
-            xs = np.linspace(shell.rho_min, shell.rho_max, radial._SHELL_GRID)
+            xs = np.linspace(*radial.shell_for(n), radial._SHELL_GRID)
             log_f = cap.log_F_dilation(n, r, xs)
             log_g = cap.log_complement_upper_from_ratio(n, r / xs)
             log_1m_g = radial._log_1m_g(log_g)
@@ -470,7 +473,8 @@ def build_parser():
     add_output(p)
     p.set_defaults(func=_cmd_quad)
 
-    p = sub.add_parser("optimize", help="recover the shell lower-bound constant; optionally tune s")
+    p = sub.add_parser("optimize", help="read c1 at its stationary point, where the shell "
+                       "lower-bound constant is e^(-5/4); with --n, tune s")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--r", type=float, default=None)
     add_output(p)

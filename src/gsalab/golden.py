@@ -8,9 +8,11 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 400):
-    """Maximize a unimodal f on [lo, hi]; returns (argmax, value).
+    """Maximize a unimodal f on [lo, hi]; returns the argmax.
 
-    The bracket shrinks by the golden ratio each step, so max_iter is a
+    The argmax is the midpoint of the final bracket, where f is not
+    evaluated: callers that need f there evaluate it once themselves.  The
+    bracket shrinks by the golden ratio each step, so max_iter is a
     safety stop well beyond what any representable tolerance needs.
     """
     if not hi > lo:
@@ -32,5 +34,4 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-10, max_iter: in
             fd = f(d)
     else:
         raise RuntimeError(f"golden section failed to shrink [{lo}, {hi}] to {tol}")
-    x = 0.5 * (a + b)
-    return x, f(x)
+    return 0.5 * (a + b)

@@ -9,11 +9,12 @@ with F the dilation-derivative factor and P the cap measure at ratio r/rho.
 Everything here is assembled in log space per node, because s reaches 1e7
 and beyond while P sits just below one.  The module also evaluates the
 step-by-step lower-bound chain on the radius shell, the facet-count
-selection rule, and the scalar optimization recovering the shell
-lower-bound constant e^(-5/4).  F rises and then falls in rho and the
-complement bound G rises, so every shell infimum built from F or G alone
-is read at a shell edge; the two chain steps that mix F with a power of P
-or of 1 - G are taken as minima over one 513-point grid on the shell.
+selection rule, and the rule's constant c1, read at its closed-form
+stationary point, where the shell lower-bound constant is e^(-5/4).  F
+rises and then falls in rho and the complement bound G rises, so every
+shell infimum built from F or G alone is read at a shell edge; the two
+chain steps that mix F with a power of P or of 1 - G are taken as minima
+over one 513-point grid on the shell.
 Windows, node counts, the shell and every tolerance follow from n alone; a
 QuadratureSpec only switches the influence integral to the adaptive rule
 that serves as its independent check.
@@ -37,9 +38,8 @@ from .cap import (_LOG_MAX, cap_log_complement_from_ratio,
                   log_complement_upper_from_ratio, log_F_dilation)
 from .golden import golden_section_max
 from .quadrature import composite_nodes, integrate_doubling, node_ladder
-from .specfun import chi_log_density, log1mexp, log_tau_n
+from .specfun import SQRT_2PI, chi_log_density, log1mexp, log_tau_n
 
-SQRT_2PI = math.sqrt(2.0 * math.pi)
 _NODES = 128
 _REL_TOL = 1e-8
 _GIVE_UP_TOL = 1e-6
@@ -86,32 +86,18 @@ class QuadratureSpec:
         return cls(rho_lo=max(root - 12.0, 0.0), rho_hi=root + 12.0, rule=rule)
 
 
-@dataclass(frozen=True)
-class ShellA:
-    """Radius band [sqrt(n) - t, sqrt(n) + t] carrying nearly all Gaussian mass."""
-
-    n: int
-    t: float
-    rho_min: float
-    rho_max: float
-
-    def __post_init__(self):
-        if not self.rho_min > 0.0:
-            raise ValueError(f"shell reaches nonpositive radii: rho_min={self.rho_min}")
-
-
-def shell_for(n: int) -> ShellA:
-    """Shell [sqrt(n) - n^(1/4), sqrt(n) + n^(1/4)], for n >= 4.
+def shell_for(n: int) -> tuple[float, float]:
+    """(rho_min, rho_max) = sqrt(n) -+ n^(1/4), the shell, for n >= 4.
 
     The shell only carries the cap-complement bound G of the chain, and G
     exists for n >= 4 alone, so smaller dimensions are rejected here rather
-    than downstream.
+    than downstream.  rho_min = n^(1/4) (n^(1/4) - 1) is positive there.
     """
     if n < 4:
         raise ValueError(f"shell needs n >= 4 for the complement bound G, got {n}")
     t = n**0.25
     root = math.sqrt(n)
-    return ShellA(n=n, t=t, rho_min=root - t, rho_max=root + t)
+    return root - t, root + t
 
 
 @dataclass(frozen=True)
@@ -330,13 +316,13 @@ def choose_s(n: int, r: float, c1: float) -> int:
     s is rounded to the nearest integer, so s * inf F = c1 holds only to
     within inf F / 2 (1/(2s) relative).
     """
-    shell = shell_for(n)
+    rho_min, rho_max = shell_for(n)
     if not c1 > 0.0:
         raise ValueError(f"c1 must be > 0, got {c1}")
-    if shell.rho_min <= r:
+    if rho_min <= r:
         raise ValueError(
-            f"degenerate shell: inner radius {shell.rho_min} does not clear r={r}")
-    log_inf_f = float(log_F_dilation(n, r, np.array([shell.rho_min, shell.rho_max])).min())
+            f"degenerate shell: inner radius {rho_min} does not clear r={r}")
+    log_inf_f = float(log_F_dilation(n, r, np.array([rho_min, rho_max])).min())
     log_s = math.log(c1) - log_inf_f
     if log_s > _LOG_MAX:
         raise _double_range_error(f"choose_s at (n={n}, r={r}, c1={c1})", log_s)
@@ -345,52 +331,28 @@ def choose_s(n: int, r: float, c1: float) -> int:
 
 
 def optimal_c1():
-    """Maximize (c/sqrt(2 pi)) exp(-c e^(1/4) / sqrt(2 pi)) over c in [0.1, 10].
+    """Maximize (c/sqrt(2 pi)) exp(-c e^(1/4) / sqrt(2 pi)) over c > 0.
 
-    Returns (argmax, max value).  Golden section brackets the peak; a short
-    derivative-sign bisection on central differences then pins the argmax
-    past the flat-comparison noise floor of the raw search.  The closed forms
-    are sqrt(2 pi) e^(-1/4) and e^(-5/4).
+    Returns (argmax, max value), read at the stationary point: the log
+    derivative 1/c - e^(1/4)/sqrt(2 pi) vanishes at c1 = sqrt(2 pi) e^(-1/4),
+    where the objective is e^(-5/4).
     """
     rate = math.exp(0.25) / SQRT_2PI
-
-    def log_f(c):
-        return math.log(c) - math.log(SQRT_2PI) - rate * c
-
-    x0, _ = golden_section_max(log_f, 0.1, 10.0, tol=1e-6)
-
-    h = 1e-5
-
-    def slope(c):
-        return log_f(c + h) - log_f(c - h)
-
-    lo, hi = x0 - 1e-3, x0 + 1e-3
-    widen = 0
-    while not (slope(lo) > 0.0 > slope(hi)):
-        lo, hi = x0 - 10 * (x0 - lo), x0 + 10 * (hi - x0)
-        widen += 1
-        if widen > 5:
-            raise RuntimeError("stationary point of the c1 objective not bracketed")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    c_star = 0.5 * (lo + hi)
-    return c_star, math.exp(log_f(c_star))
+    c1 = 1.0 / rate
+    return c1, c1 / SQRT_2PI * math.exp(-rate * c1)
 
 
-def optimize_s(n: int, r: float):
-    """Directly maximize expected surface area over the facet count.
+def optimize_s(n: int, r: float) -> int:
+    """The facet count s_star that maximizes expected surface area.
 
     Works on ln s (continuous relaxation, rounded at the end): a 48-point
-    scan brackets the peak, golden section refines it.  The bracket is
-    centered where s times the cap-complement bound at radius sqrt(n) is
-    order one, which is where the integrand stops being killed by either
-    factor.  The 48 values of s share one node ladder (expected_gsa_grid),
-    one (48 x nodes) log-sum-exp per rung, with the one-point values; golden
-    section then integrates one s at a time.  Every value of s is
+    scan brackets the peak, golden section refines it.  Returns s_star
+    alone; a caller that wants its expected_gsa integrates it once.  The
+    bracket is centered where s times the cap-complement bound at radius
+    sqrt(n) is order one, which is where the integrand stops being killed
+    by either factor.  The 48 values of s share one node ladder
+    (expected_gsa_grid), one (48 x nodes) log-sum-exp per rung, with the
+    one-point values; golden section then integrates one s at a time.  Every value of s is
     integrated on the default window, so the ladder's node tables are built
     once per (n, r) and served from cache.  A scan reaching ln s past the
     double range (about 709.78) raises ValueError, and so does a non-finite r.
@@ -418,9 +380,8 @@ def optimize_s(n: int, r: float):
         raise RuntimeError(f"facet-count optimum not bracketed at (n={n}, r={r})")
     a = grid[max(0, k - 1)]
     b = grid[min(_COARSE_GRID - 1, k + 1)]
-    ln_star, _ = golden_section_max(objective, a, b, tol=1e-6)
-    s_star = max(1, int(round(math.exp(ln_star))))
-    return s_star, expected_gsa(n, r, float(s_star))
+    ln_star = golden_section_max(objective, a, b, tol=1e-6)
+    return max(1, int(round(math.exp(ln_star))))
 
 
 def _log_1m_g(g_log):
@@ -491,19 +452,19 @@ def lower_bound_chain(n: int, r: float, s: float) -> LowerBoundReport:
     chain_value is v2, bernoulli_value is v4.
     """
     exact = expected_influence_quadrature(n, r, s)
-    shell = shell_for(n)
+    rho_min, rho_max = shell_for(n)
     log_tau = log_tau_n(n)
     log_s = math.log(s)
 
     vol_shell = integrate_doubling(
-        lambda x: np.exp(chi_log_density(n, x)), shell.rho_min, shell.rho_max,
+        lambda x: np.exp(chi_log_density(n, x)), rho_min, rho_max,
         nodes=128, rel_tol=1e-12)
     log_vol = math.log(vol_shell)
 
     def power(log_base):  # (s - 1) log_base, exactly 0 at s = 1
         return (s - 1.0) * log_base if s != 1.0 else 0.0
 
-    xs = np.linspace(shell.rho_min, shell.rho_max, _SHELL_GRID)
+    xs = np.linspace(rho_min, rho_max, _SHELL_GRID)
     LF = log_F_dilation(n, r, xs)
     LG = log_complement_upper_from_ratio(n, r / xs)
     LP = log1mexp(cap_log_complement_from_ratio(n, r / xs))
@@ -564,6 +525,5 @@ def scan_report(n_list, alpha_list) -> list[LowerBoundReport]:
             raise ValueError(f"scan needs n >= 7, got {n}")
         for alpha in alpha_list:
             r = alpha * n**0.25
-            s_star, _ = optimize_s(n, r)
-            reports.append(lower_bound_chain(n, r, float(s_star)))
+            reports.append(lower_bound_chain(n, r, float(optimize_s(n, r))))
     return reports

@@ -95,7 +95,7 @@ def test_c02_finite_n_trend():
         ratios = []
         for n in (256, 1024, 4096, 16384):
             r = n**0.25
-            _, gsa = radial.optimize_s(n, r)
+            gsa = radial.expected_gsa(n, r, float(radial.optimize_s(n, r)))
             ratios.append(gsa / r)
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"took {elapsed:.2f}s"
@@ -231,7 +231,7 @@ def test_c11_offset_multiplier_grid():
         ratios = {}
         for alpha in (0.5, 0.75, 1.0, 1.25, 1.5):
             r = alpha * n**0.25
-            _, gsa = radial.optimize_s(n, r)
+            gsa = radial.expected_gsa(n, r, float(radial.optimize_s(n, r)))
             ratios[alpha] = gsa / n**0.25
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"took {elapsed:.2f}s"

@@ -385,6 +385,24 @@ def test_quad_at_infinite_offset_is_zero(tmp_path):
     assert rows["expected-gsa-quadrature"] == 0.0
 
 
+@pytest.mark.parametrize("alpha_args", [["--alpha", "5"], []])
+def test_quad_records_the_alpha_it_ran(tmp_path, alpha_args):
+    # --r sets the offset, so the run's alpha is r / n^(1/4), not the --alpha
+    # that was ignored or its default
+    out = tmp_path / "quad.json"
+    assert run(["quad", "--n", "64", "--r", "2", "--s", "32", "--json", str(out)]
+               + alpha_args) == 0
+    params = json.loads(out.read_text())["params"]
+    assert params["alpha"] == 2.0 / 64**0.25
+    assert params["r"] == 2.0
+
+
+def test_optimize_rejects_r_without_n(capsys):
+    # without --n there are no facet-count rows for the offset to set
+    assert run(["optimize", "--r", "2"]) == 1
+    assert "--r needs --n" in capsys.readouterr().err
+
+
 @pytest.fixture
 def fresh_parser():
     cli._parser.cache_clear()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gsalab import quadrature
-from gsalab.golden import golden_section_max
+from gsalab.golden import INV_PHI, golden_section_max
 from gsalab.quadrature import (QuadratureConvergenceError, adaptive_quad,
                                composite_nodes, integrate_doubling, node_ladder)
 
@@ -92,19 +92,37 @@ def test_adaptive_quad_evaluates_one_depth_per_call():
 
 
 def test_golden_section_quadratic():
-    x, fx = golden_section_max(lambda c: -(c - 2.0) ** 2, 0.0, 5.0, tol=1e-12)
+    def f(c):
+        return -(c - 2.0) ** 2
+
+    x = golden_section_max(f, 0.0, 5.0, tol=1e-12)
     assert x == pytest.approx(2.0, abs=1e-6)
-    assert fx <= 0.0
+    assert f(x) <= 0.0
 
 
 def test_golden_section_min_cos():
-    x, _ = golden_section_max(lambda t: -math.cos(t), 2.0, 4.5, tol=1e-12)
+    x = golden_section_max(lambda t: -math.cos(t), 2.0, 4.5, tol=1e-12)
     assert x == pytest.approx(math.pi, abs=1e-6)
 
 
 def test_golden_rejects_bad_bracket():
     with pytest.raises(ValueError):
         golden_section_max(lambda c: c, 1.0, 1.0)
+
+
+def test_golden_evaluates_only_its_probes():
+    # two bracket points, then one per step; the returned midpoint is not
+    # evaluated, so a costly f runs once less per search
+    probes = []
+
+    def f(c):
+        probes.append(c)
+        return -(c - 2.0) ** 2
+
+    x = golden_section_max(f, 0.0, 5.0, tol=1e-6)
+    steps = math.ceil(math.log(1e-6 / 5.0) / math.log(INV_PHI))
+    assert len(probes) == 2 + steps
+    assert x not in probes
 
 
 def test_node_ladder_budget_and_give_up():

@@ -38,10 +38,10 @@ def test_spec_default_window():
 
 
 def test_shell_fields():
-    shell = shell_for(256)
-    assert shell.t == pytest.approx(4.0)
-    assert shell.rho_min == pytest.approx(12.0)
-    assert shell.rho_max == pytest.approx(20.0)
+    rho_min, rho_max = shell_for(256)
+    assert (rho_max - rho_min) / 2.0 == pytest.approx(4.0)
+    assert rho_min == pytest.approx(12.0)
+    assert rho_max == pytest.approx(20.0)
     with pytest.raises(ValueError):
         shell_for(2)  # the complement bound G the shell carries needs n >= 4
 
@@ -150,8 +150,7 @@ def test_choose_s_takes_inf_F_at_the_outer_edge():
     # r = 0.9 puts the peak of F, at r sqrt(n - 2) = 7.09, inside the shell
     # [5.17, 10.83]; F then falls to its infimum at the outer edge
     c1_star, _ = optimal_c1()
-    shell = shell_for(64)
-    inner, outer = log_F_dilation(64, 0.9, np.array([shell.rho_min, shell.rho_max]))
+    inner, outer = log_F_dilation(64, 0.9, np.array(shell_for(64)))
     assert outer < inner
     assert choose_s(64, 0.9, c1_star) == round(c1_star / math.exp(outer)) == 29
 
@@ -173,17 +172,33 @@ def test_optimal_c1_is_interior_max():
     assert objective(2.0 * c_star) < value
 
 
+def test_optimal_c1_is_the_stationary_point():
+    # the closed forms to 2 ulp; the objective falls on both sides of c1 by
+    # far more than its rounding, so c1 is the maximum, not just a root
+    c_star, value = optimal_c1()
+    assert abs(c_star - C1_CLOSED_FORM) <= 2 * math.ulp(C1_CLOSED_FORM)
+    assert abs(value - math.exp(-1.25)) <= 2 * math.ulp(math.exp(-1.25))
+    rate = math.exp(0.25) / math.sqrt(2.0 * math.pi)
+
+    def objective(c):
+        return c / math.sqrt(2.0 * math.pi) * math.exp(-rate * c)
+
+    assert objective(c_star * (1.0 - 1e-6)) < value
+    assert objective(c_star * (1.0 + 1e-6)) < value
+
+
 def test_optimize_s_dominates_selection_rule():
     c1_star, _ = optimal_c1()
     n, r = 4096, 4096**0.25
-    s_star, gsa_star = optimize_s(n, r)
+    gsa_star = expected_gsa(n, r, float(optimize_s(n, r)))
     gsa_rule = expected_gsa(n, r, float(choose_s(n, r, c1_star)))
     assert gsa_star >= gsa_rule - 1e-9
 
 
 def test_optimize_s_unimodal_neighborhood():
     n, r = 256, 4.0
-    s_star, gsa_star = optimize_s(n, r)
+    s_star = optimize_s(n, r)
+    gsa_star = expected_gsa(n, r, float(s_star))
     assert gsa_star > expected_gsa(n, r, max(1.0, s_star / 2.0))
     assert gsa_star > expected_gsa(n, r, 2.0 * s_star)
 
@@ -196,7 +211,7 @@ def test_optimize_s_unimodal_neighborhood():
 def test_optimize_s_within_factor_three_of_rule():
     c1_star, _ = optimal_c1()
     n, r = 4096, 4096**0.25
-    s_star, _ = optimize_s(n, r)
+    s_star = optimize_s(n, r)
     s_rule = choose_s(n, r, c1_star)
     assert s_rule / 3.0 <= s_star <= s_rule * 3.0
 
@@ -217,7 +232,7 @@ def test_chain_ordering_at_selection_rule():
     assert rep.chain_value <= rep.exact_quadrature + 1e-10
     # the chain's c1 is exactly s * F at the inner shell edge; choose_s rounds
     # s to a facet count, so c1 meets the target only to within inf F / 2
-    inner_edge = shell_for(256).rho_min
+    inner_edge, _ = shell_for(256)
     assert rep.c1 == pytest.approx(s * math.exp(log_F_dilation(256, 4.0, inner_edge)),
                                    rel=1e-12)
     assert abs(rep.c1 - c1_star) <= rep.inf_F / 2.0
@@ -386,8 +401,7 @@ CHAIN_FROZEN = {
 @pytest.mark.parametrize("n, alpha", sorted(CHAIN_FROZEN))
 def test_chain_frozen_regression(n, alpha):
     r = alpha * n**0.25
-    s_star, _ = optimize_s(n, r)
-    rep = lower_bound_chain(n, r, float(s_star))
+    rep = lower_bound_chain(n, r, float(optimize_s(n, r)))
     assert dataclasses.astuple(rep) == CHAIN_FROZEN[(n, alpha)]
 
 
@@ -398,8 +412,7 @@ def test_shell_edge_reads_are_the_grid_minima(n, alpha, s):
     # alpha below about n^(-1/4) puts the peak of F, at r sqrt(n - 2), inside
     # the shell; every edge read must still equal the minimum over the grid
     r = alpha * n**0.25
-    shell = shell_for(n)
-    xs = np.linspace(shell.rho_min, shell.rho_max, radial._SHELL_GRID)
+    xs = np.linspace(*shell_for(n), radial._SHELL_GRID)
     log_f = log_F_dilation(n, r, xs)
     log_g = log_complement_upper_from_ratio(n, r / xs)
     log_1m_g = radial._log_1m_g(log_g)
@@ -478,8 +491,7 @@ def test_v1_and_v2_grid_minima_sit_at_a_shell_edge(n, alpha, s):
     # interior dip for a finer search to refine; -inf minima (F = 0 below r,
     # G >= 1) are exact at any resolution
     r = alpha * n**0.25
-    shell = shell_for(n)
-    xs = np.linspace(shell.rho_min, shell.rho_max, radial._SHELL_GRID)
+    xs = np.linspace(*shell_for(n), radial._SHELL_GRID)
     log_f = log_F_dilation(n, r, xs)
     log_p = specfun.log1mexp(cap.cap_log_complement_from_ratio(n, r / xs))
     log_1m_g = specfun.log1mexp(np.minimum(log_complement_upper_from_ratio(n, r / xs), 0.0))
@@ -574,8 +586,9 @@ def test_batched_s_grid_raises_the_first_failing_s():
 
 
 def test_optimize_s_runs_one_ladder_for_its_grid(monkeypatch):
-    # one ladder for the 48 grid values, 31 for golden section, 1 for s*;
-    # one ladder per grid value made it 80
+    # one ladder for the 48 grid values and 30 for golden section; one
+    # ladder per grid value made it 80, and integrating golden section's
+    # final midpoint and s* made it 33
     calls = []
     ladder = radial.node_ladder
 
@@ -585,8 +598,33 @@ def test_optimize_s_runs_one_ladder_for_its_grid(monkeypatch):
 
     monkeypatch.setattr(radial, "node_ladder", spy)
     optimize_s(4096, 4096**0.25)
-    assert len(calls) == 33
+    assert len(calls) == 31
     assert calls.count(48) == 1
+
+
+def test_scan_integrates_each_facet_count_once(monkeypatch):
+    # after the 48-point grid, the integrals a scan cell runs are the golden
+    # probes and then s* for the chain; integrating golden's final midpoint
+    # and s* inside optimize_s added two
+    probes, integrated = [], []
+    search, ladder = radial.golden_section_max, radial._influences_on_ladder
+
+    def search_spy(f, lo, hi, **kwargs):
+        def probe(x):
+            probes.append(x)
+            return f(x)
+        return search(probe, lo, hi, **kwargs)
+
+    def ladder_spy(n, r, lo, hi, s_values):
+        integrated.append(list(s_values))
+        return ladder(n, r, lo, hi, s_values)
+
+    monkeypatch.setattr(radial, "golden_section_max", search_spy)
+    monkeypatch.setattr(radial, "_influences_on_ladder", ladder_spy)
+    (rep,) = scan_report([4096], [1.0])
+    assert len(integrated[0]) == radial._COARSE_GRID
+    assert integrated[1:] == [[math.exp(x)] for x in probes] + [[rep.s]]
+    assert integrated.count([rep.s]) == 1
 
 
 def test_facet_counts_past_the_double_range_raise_value_error():
