@@ -3,8 +3,9 @@
 Exact spherical-cap measures, convex-influence identities, random halfspace
 polytopes, Monte Carlo estimators with standard errors, and the radial
 quadrature pipeline with its shell lower-bound chain, whose constant c1 is
-read at its closed-form stationary point, where the shell lower-bound
-constant is e^(-5/4).
+read at its closed-form stationary point.  There the objective is e^(-5/4),
+the alpha = 1 value of the log-average (Jensen) bound over the chi_n law,
+not a value the shell chain certifies.
 """
 
 from .bounds import ball_upper, final_deg2_upper, final_var_upper, nazarov_lower, raic_upper

@@ -28,6 +28,7 @@ _BETACF_EPS = 1e-15
 _BETACF_BLOCK = 16  # values of m whose numerators one outer product forms
 _FPMIN = 1e-300
 _LOG_MAX = math.log(sys.float_info.max)  # about 709.78: math.exp overflows above this
+_QUADRATURE_ABS_TOL = 1e-13  # cap_probability_quadrature's absolute target
 
 
 @dataclass(frozen=True)
@@ -114,15 +115,15 @@ def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
     )
 
 
-def log_betainc_reg(a: float, b: float, x, cx=None):
+def log_betainc_reg(a: float, b: float, x, cx):
     """ln I_x(a, b), the log of the regularized incomplete beta function.
 
-    `cx` may supply 1 - x exactly when x was formed by cancellation-prone
+    `cx` is 1 - x, supplied exactly where x was formed by cancellation-prone
     arithmetic.  Vectorized over x; scalar in, scalar out.
     """
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    cx = 1.0 - x if cx is None else np.atleast_1d(np.asarray(cx, dtype=float))
+    cx = np.atleast_1d(np.asarray(cx, dtype=float))
     # x within 1e-8 below 0 (np.isclose's default reach) reads as 0
     if np.any((x < -1e-8) | (x > 1 + 1e-12)):
         raise ValueError("x must lie in [0, 1]")
@@ -184,7 +185,7 @@ def cap_probability(q: CapQuery) -> float:
     return cap_probability_from_ratio(q.n, q.r / q.norm_x)
 
 
-def cap_probability_quadrature(q: CapQuery, abs_tol: float = 1e-13) -> float:
+def cap_probability_quadrature(q: CapQuery) -> float:
     """Cap measure by adaptive Gauss-Legendre in the angle variable.
 
     Substituting z = sin(theta) turns the integrand into cos(theta)^(n-2),
@@ -203,7 +204,7 @@ def cap_probability_quadrature(q: CapQuery, abs_tol: float = 1e-13) -> float:
         def integrand(theta):
             return np.exp((n - 2) * np.log(np.cos(theta)))
 
-    val = adaptive_quad(integrand, -math.pi / 2.0, upper, abs_tol=abs_tol)
+    val = adaptive_quad(integrand, -math.pi / 2.0, upper, abs_tol=_QUADRATURE_ABS_TOL)
     return tau_n(n) * val
 
 

@@ -5,7 +5,8 @@ document (one object per run with a `rows` array, validating against
 schemas/report.schema.json), or RFC-4180 CSV.  Exit codes: 0 success,
 1 validation error or a value outside the double range (ArithmeticError),
 2 numerical non-convergence, 3 invariant violation found by selftest.  On
-exit code 2 the JSON document has no rows and an `error` object instead.
+exit code 2 the JSON document has no rows and an `error` object instead,
+and the same params a success records.
 Every JSON document is strict: a non-finite number is written as null, and
 in CSV as an empty cell.
 """
@@ -27,43 +28,45 @@ from .quadrature import QuadratureConvergenceError
 
 SCHEMA_VERSION = 1
 
-SCAN_COLUMNS = [
-    "n", "alpha", "r", "s", "c1", "exact_influence", "expected_gsa",
-    "chain_value", "bernoulli_value", "gsa_lower", "ratio_to_n14",
-    "vol_shell", "inf_F", "inf_G", "sup_G", "stitch_factor_min",
-    "raic_upper", "ball_upper", "nazarov_lower", "seed", "schema_version",
-]
-
-MEASUREMENT_COLUMNS = ["name", "value", "stderr", "samples", "seed", "schema_version"]
-
-SELFTEST_COLUMNS = ["name", "value", "seconds", "schema_version"]
-
 
 def _row(name, value, stderr=None, samples=None, seed=None):
+    """A measurement row; a Monte Carlo Estimate e enters as _row(name, **vars(e))."""
     return {"name": name, "value": float(value), "stderr": stderr,
             "samples": samples, "seed": seed}
 
 
-def _emit(args, command, params, rows, columns, echo=True):
+def _emit(args, params, rows, error=None, echo=True):
+    """Write a run's report: the JSON document, the CSV and the echoed rows.
+
+    The CSV header is the rows' keys in order, then schema_version.  A
+    convergence failure (exit code 2) passes its exception as `error`: the
+    JSON document has no rows and an `error` object with the message and,
+    for a QuadratureConvergenceError, the node ladder as [nodes, value]
+    pairs; no CSV is written.
+    """
     doc = {
-        "command": command,
+        "command": args.command,
         "schema_version": SCHEMA_VERSION,
         "seed": params.get("seed"),
         "params": params,
         "rows": rows,
     }
+    if error is not None:
+        ladder = [[nodes, float(value)] for nodes, value in getattr(error, "history", [])]
+        doc["error"] = {"message": str(error), "history": ladder}
     if args.json:
-        _write_json(args.json, doc)
-    if args.csv:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(_finite_or_none(doc), fh, sort_keys=True, indent=2, allow_nan=False)
+            fh.write("\n")
+    if args.csv and error is None:
+        columns = [*dict.fromkeys(key for row in rows for key in row), "schema_version"]
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=columns, quoting=csv.QUOTE_MINIMAL)
             writer.writeheader()
             for row in rows:
-                out = {k: _finite_or_none(row.get(k)) for k in columns}
-                out["schema_version"] = SCHEMA_VERSION
-                writer.writerow(out)
+                writer.writerow({**_finite_or_none(row), "schema_version": SCHEMA_VERSION})
     if not echo:
-        return doc
+        return
     for row in rows:
         if "name" in row:
             line = f"{row['name']}: {row['value']!r}"
@@ -75,7 +78,6 @@ def _emit(args, command, params, rows, columns, echo=True):
             line = ("n={n} alpha={alpha} s={s:.6g} ratio_to_n14={ratio_to_n14:.8f} "
                     "expected_gsa={expected_gsa:.8g}").format(**row)
         print(line)
-    return doc
 
 
 def _finite_or_none(value):
@@ -87,38 +89,6 @@ def _finite_or_none(value):
     if isinstance(value, (list, tuple)):
         return [_finite_or_none(item) for item in value]
     return value
-
-
-def _write_json(path, doc):
-    """Write a report document as strict JSON: non-finite numbers become null.
-
-    Success and failure documents both go through here, so no report holds
-    the NaN or Infinity tokens that standard JSON parsers reject.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_finite_or_none(doc), fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
-
-
-def _emit_failure(args, exc):
-    """Write a convergence failure (exit code 2) as a strict-JSON report.
-
-    The document has no rows; its `error` object carries the message and,
-    for a QuadratureConvergenceError, the node ladder as [nodes, value]
-    pairs.
-    """
-    params = {key: value for key, value in vars(args).items()
-              if key not in ("func", "command", "json", "csv")}
-    ladder = [[nodes, float(value)] for nodes, value in getattr(exc, "history", [])]
-    doc = {
-        "command": args.command,
-        "schema_version": SCHEMA_VERSION,
-        "seed": args.seed,
-        "params": params,
-        "rows": [],
-        "error": {"message": str(exc), "history": ladder},
-    }
-    _write_json(args.json, doc)
 
 
 def _svg_chart(path, reports):
@@ -171,15 +141,18 @@ def _svg_chart(path, reports):
         fh.write("\n".join(parts) + "\n")
 
 
-def _cmd_cap(args):
+def _cap_params(args):
+    return {"n": args.n, "norm": args.norm, "r": args.r, "seed": args.seed}
+
+
+def _cmd_cap(args, params):
     query = cap.CapQuery(n=args.n, norm_x=args.norm, r=args.r)
     rows = [_row("cap-probability", cap.cap_probability(query))]
     if 0.0 < args.r < args.norm:
         rows.append(_row("cap-log-complement", cap.cap_log_complement(query)))
     if args.n >= 4 and 0.0 < args.r <= args.norm:
         rows.append(_row("cap-complement-upper-bound", cap.cap_complement_upper_G(query)))
-    params = {"n": args.n, "norm": args.norm, "r": args.r, "seed": args.seed}
-    return _emit(args, "cap", params, rows, MEASUREMENT_COLUMNS)
+    _emit(args, params, rows)
 
 
 def _make_body(args):
@@ -190,48 +163,58 @@ def _make_body(args):
     return polytope.sample_naz(params, args.seed)
 
 
-def _cmd_influence(args):
+def _influence_params(args):
+    return {"n": args.n, "body": args.body, "r": args.r, "s": args.s,
+            "radius": args.radius, "samples": args.samples, "seed": args.seed}
+
+
+def _cmd_influence(args, params):
     body = _make_body(args)
     spectral = estimators.estimate_influence_spectral(body, args.samples, args.seed)
     coeffs = estimators.estimate_hermite_coefficients(body, args.samples, args.seed)
     combined = estimators.influence_from_hermite_estimates(coeffs)
     volume = estimators.estimate_volume(body, args.samples, args.seed)
     rows = [
-        spectral.to_row("influence-moment-mc"),
-        combined.to_row("influence-hermite-mc"),
-        volume.to_row("gaussian-volume-mc"),
+        _row("influence-moment-mc", **vars(spectral)),
+        _row("influence-hermite-mc", **vars(combined)),
+        _row("gaussian-volume-mc", **vars(volume)),
         _row("surface-upper-variance",
              bounds.final_var_upper(args.n, min(1.0, max(0.0, volume.value)),
                                     body.inradius())),
         _row("surface-upper-deg2",
              bounds.final_deg2_upper(args.n, [c.value for c in coeffs], body.inradius())),
     ]
-    params = {"n": args.n, "body": args.body, "r": args.r, "s": args.s,
-              "radius": args.radius, "samples": args.samples, "seed": args.seed}
-    return _emit(args, "influence", params, rows, MEASUREMENT_COLUMNS)
+    _emit(args, params, rows)
 
 
-def _cmd_gsa(args):
+def _gsa_params(args):
+    return {"n": args.n, "r": args.r, "s": args.s,
+            "samples_per_facet": args.samples_per_facet,
+            "samples": args.samples, "seed": args.seed}
+
+
+def _cmd_gsa(args, params):
     params_obj = polytope.NazParams(n=args.n, offset=args.r, s=args.s)
     K = polytope.sample_naz(params_obj, args.seed)
     surface = estimators.estimate_gsa_facets(K, args.samples_per_facet, args.seed)
     influence = estimators.estimate_influence_spectral(K, args.samples, args.seed + 1)
     rows = [
-        surface.to_row("gsa-facet-mc"),
-        influence.to_row("influence-moment-mc"),
+        _row("gsa-facet-mc", **vars(surface)),
+        _row("influence-moment-mc", **vars(influence)),
         _row("influence-over-inradius", bounds.over_inradius(influence.value, K.inradius()),
              stderr=bounds.over_inradius(influence.stderr, K.inradius()),
              samples=influence.samples, seed=influence.seed),
     ]
-    params = {"n": args.n, "r": args.r, "s": args.s,
-              "samples_per_facet": args.samples_per_facet,
-              "samples": args.samples, "seed": args.seed}
-    return _emit(args, "gsa", params, rows, MEASUREMENT_COLUMNS)
+    _emit(args, params, rows)
 
 
-def _cmd_quad(args):
+def _quad_params(args):
     r = args.r if args.r is not None else args.alpha * args.n**0.25
-    alpha = r / args.n**0.25
+    return {"n": args.n, "r": r, "alpha": r / args.n**0.25, "s": args.s, "seed": args.seed}
+
+
+def _cmd_quad(args, params):
+    r = params["r"]
     influence = radial.expected_influence_quadrature(args.n, r, float(args.s))
     rows = [
         _row("expected-influence-quadrature", influence),
@@ -240,22 +223,26 @@ def _cmd_quad(args):
         _row("upper-ball", bounds.ball_upper(args.n)),
         _row("limit-reference-curve", bounds.nazarov_lower(args.n)),
     ]
-    params = {"n": args.n, "r": r, "alpha": alpha, "s": args.s, "seed": args.seed}
-    return _emit(args, "quad", params, rows, MEASUREMENT_COLUMNS)
+    _emit(args, params, rows)
 
 
-def _cmd_optimize(args):
-    if args.n is None and args.r is not None:
-        raise ValueError("--r needs --n: the offset only sets the facet-count rows")
+def _optimize_params(args):
+    if args.n is None:
+        if args.r is not None:
+            raise ValueError("--r needs --n: the offset only sets the facet-count rows")
+        return {"n": None, "seed": args.seed}
+    r = args.r if args.r is not None else args.n**0.25
+    return {"n": args.n, "r": r, "seed": args.seed}
+
+
+def _cmd_optimize(args, params):
     c1_star, limit_value = radial.optimal_c1()
     rows = [
         _row("optimal-c1", c1_star),
         _row("limit-constant", limit_value),
     ]
-    params = {"n": args.n, "seed": args.seed}
     if args.n is not None:
-        r = args.r if args.r is not None else args.n**0.25
-        params["r"] = r
+        r = params["r"]
         s_rule = radial.choose_s(args.n, r, c1_star)
         s_star = radial.optimize_s(args.n, r)
         gsa = radial.expected_gsa(args.n, r, float(s_star))
@@ -265,13 +252,16 @@ def _cmd_optimize(args):
             _row("expected-gsa-at-optimal-s", gsa),
             _row("ratio-to-n14", gsa / args.n**0.25),
         ])
-    return _emit(args, "optimize", params, rows, MEASUREMENT_COLUMNS)
+    _emit(args, params, rows)
 
 
-def _cmd_scan(args):
-    n_list = [int(v) for v in args.n.split(",")]
-    alpha_list = [float(v) for v in args.alpha.split(",")]
-    reports = radial.scan_report(n_list, alpha_list)
+def _scan_params(args):
+    return {"n": [int(v) for v in args.n.split(",")],
+            "alpha": [float(v) for v in args.alpha.split(",")], "seed": args.seed}
+
+
+def _cmd_scan(args, params):
+    reports = radial.scan_report(params["n"], params["alpha"])
     rows = []
     for rep in reports:
         rows.append({
@@ -290,11 +280,9 @@ def _cmd_scan(args):
             "nazarov_lower": bounds.nazarov_lower(rep.n),
             "seed": args.seed,
         })
-    params = {"n": n_list, "alpha": alpha_list, "seed": args.seed}
-    doc = _emit(args, "scan", params, rows, SCAN_COLUMNS)
+    _emit(args, params, rows)
     if args.svg:
         _svg_chart(args.svg, reports)
-    return doc
 
 
 def _selftest_checks():
@@ -405,7 +393,11 @@ def _selftest_checks():
     ]
 
 
-def _cmd_selftest(args):
+def _selftest_params(args):
+    return {"seed": args.seed}
+
+
+def _cmd_selftest(args, params):
     rows = []
     failures = 0
     for name, check in _selftest_checks():
@@ -420,12 +412,12 @@ def _cmd_selftest(args):
             print(f"PASS {name}")
             value = 1.0
         rows.append({"name": name, "value": value, "seconds": time.perf_counter() - start})
-    doc = _emit(args, "selftest", {"seed": args.seed}, rows, SELFTEST_COLUMNS, echo=False)
+    _emit(args, params, rows, echo=False)
     if failures:
         print(f"{failures} invariant check(s) failed")
-        return doc, 3
+        return 3
     print("all invariant checks passed")
-    return doc, 0
+    return 0
 
 
 def build_parser():
@@ -444,7 +436,7 @@ def build_parser():
     p.add_argument("--norm", type=float, required=True, help="||x||")
     p.add_argument("--r", type=float, required=True, help="cap offset")
     add_output(p)
-    p.set_defaults(func=_cmd_cap)
+    p.set_defaults(func=_cmd_cap, params=_cap_params)
 
     p = sub.add_parser("influence", help="Monte Carlo influence estimates for a body")
     p.add_argument("--n", type=int, required=True)
@@ -454,7 +446,7 @@ def build_parser():
     p.add_argument("--radius", type=float, default=1.0, help="radius for --body ball")
     p.add_argument("--samples", type=int, default=20000)
     add_output(p)
-    p.set_defaults(func=_cmd_influence)
+    p.set_defaults(func=_cmd_influence, params=_influence_params)
 
     p = sub.add_parser("gsa", help="facet Monte Carlo surface area with influence cross-check")
     p.add_argument("--n", type=int, required=True)
@@ -463,7 +455,7 @@ def build_parser():
     p.add_argument("--samples-per-facet", type=int, default=2000)
     p.add_argument("--samples", type=int, default=20000)
     add_output(p)
-    p.set_defaults(func=_cmd_gsa)
+    p.set_defaults(func=_cmd_gsa, params=_gsa_params)
 
     p = sub.add_parser("quad", help="expected influence and surface area by quadrature")
     p.add_argument("--n", type=int, required=True)
@@ -471,26 +463,27 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=1.0, help="r = alpha * n^(1/4) when --r absent")
     p.add_argument("--s", type=float, required=True)
     add_output(p)
-    p.set_defaults(func=_cmd_quad)
+    p.set_defaults(func=_cmd_quad, params=_quad_params)
 
-    p = sub.add_parser("optimize", help="read c1 at its stationary point, where the shell "
-                       "lower-bound constant is e^(-5/4); with --n, tune s")
+    p = sub.add_parser("optimize", help="read c1 at its stationary point, where the "
+                       "objective is e^(-5/4), the alpha = 1 log-average (Jensen) bound; "
+                       "with --n, tune s")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--r", type=float, default=None)
     add_output(p)
-    p.set_defaults(func=_cmd_optimize)
+    p.set_defaults(func=_cmd_optimize, params=_optimize_params)
 
     p = sub.add_parser("scan", help="scan dimensions and offset multipliers")
     p.add_argument("--n", required=True, help="comma-separated dimensions")
     p.add_argument("--alpha", default="1.0", help="comma-separated multipliers of n^(1/4)")
     p.add_argument("--svg", metavar="PATH", help="write a static line chart")
     add_output(p)
-    p.set_defaults(func=_cmd_scan)
+    p.set_defaults(func=_cmd_scan, params=_scan_params)
 
     p = sub.add_parser("selftest", help="run the invariant suite; each check is a row "
                        "with value 1.0 (pass) or 0.0 (fail) and its seconds")
     add_output(p)
-    p.set_defaults(func=_cmd_selftest)
+    p.set_defaults(func=_cmd_selftest, params=_selftest_params)
 
     return parser
 
@@ -511,19 +504,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        result = args.func(args)
+        params = args.params(args)
+        # a command returns None, or selftest its exit code
+        return args.func(args, params) or 0
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (QuadratureConvergenceError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        if args.json:
-            _emit_failure(args, exc)
+        _emit(args, params, [], error=exc)
         return 2
-    if isinstance(result, tuple):
-        return result[1]
-    return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

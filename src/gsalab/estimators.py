@@ -35,15 +35,6 @@ class Estimate:
         if not (math.isfinite(self.value) and math.isfinite(self.stderr) and self.stderr >= 0):
             raise ValueError(f"invalid estimate: value={self.value}, stderr={self.stderr}")
 
-    def to_row(self, name: str) -> dict:
-        return {
-            "name": name,
-            "value": self.value,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
 
 def _mean_estimate(total: float, total_sq: float, count: int, seed: int) -> Estimate:
     mean = total / count

@@ -165,9 +165,16 @@ class Ball:
                 f"radius {self.radius} is too large: its square is not a finite double")
 
     def contains(self, x) -> bool:
+        """Membership test for one finite point of shape (n,).
+
+        A NaN or infinite coordinate raises ValueError, as in
+        HalfspacePolytope.contains, instead of reading as outside.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"point has shape {x.shape}, expected ({self.n},)")
+        if not np.isfinite(x).all():
+            raise ValueError(f"point must be finite, got {x.tolist()}")
         return bool(self.contains_points(x[None])[0])
 
     def contains_points(self, points: np.ndarray) -> np.ndarray:

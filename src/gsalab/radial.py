@@ -10,18 +10,22 @@ Everything here is assembled in log space per node, because s reaches 1e7
 and beyond while P sits just below one.  The module also evaluates the
 step-by-step lower-bound chain on the radius shell, the facet-count
 selection rule, and the rule's constant c1, read at its closed-form
-stationary point, where the shell lower-bound constant is e^(-5/4).  F
-rises and then falls in rho and the complement bound G rises, so every
-shell infimum built from F or G alone is read at a shell edge; the two
-chain steps that mix F with a power of P or of 1 - G are taken as minima
-over one 513-point grid on the shell.
+stationary point, where the objective is e^(-5/4).  F rises and then falls
+in rho and the complement bound G rises, so every shell infimum built from
+F or G alone is read at a shell edge; the two chain steps that mix F with a
+power of P or of 1 - G are taken as minima over one 513-point grid on the
+shell.
 Windows, node counts, the shell and every tolerance follow from n alone; a
 QuadratureSpec only switches the influence integral to the adaptive rule
 that serves as its independent check.
 
-e^(-5/4) is what the shell chain certifies for GSA / n^(1/4) at r = n^(1/4);
-it is not the limit of the optimized expectation.  With r = alpha n^(1/4)
-and s optimized, E[GSA] / n^(1/4) tends to the larger
+e^(-5/4) is the alpha = 1 value of the log-average (Jensen) bound over the
+chi_n law: with rho = sqrt(n) + g, g ~ N(0, 1/2), Jensen's inequality gives
+alpha e^(-1) e^(-alpha^4/4) for GSA / n^(1/4) at r = alpha n^(1/4) as n
+grows.  The shell chain certifies far less: at alpha = 1 its
+log_chain_value is -8.66 at n = 64 and -1046.5 at n = 4096 (scan_report).
+Nor is e^(-5/4) the limit of the optimized expectation.  With
+r = alpha n^(1/4) and s optimized, E[GSA] / n^(1/4) tends to the larger
 L(alpha) = alpha * sup_lambda E[lambda e^(alpha^2 g) exp(-lambda e^(alpha^2 g))],
 g ~ N(0, 1/2) (L(1) = 0.30127), from above at a rate of order n^(-1/2).
 """

@@ -273,11 +273,12 @@ def test_dilation_vs_complement_bound_shrinking_gap():
 
 def test_log_betainc_reg_domain_edge():
     # np.isclose(x, 0)'s default reach: within 1e-8 below 0 reads as 0
-    assert cap.log_betainc_reg(1.5, 0.5, -5e-9) == -math.inf
+    assert cap.log_betainc_reg(1.5, 0.5, -5e-9, 1.0 + 5e-9) == -math.inf
     with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
-        cap.log_betainc_reg(1.5, 0.5, -2e-8)
+        cap.log_betainc_reg(1.5, 0.5, -2e-8, 1.0 + 2e-8)
+    x = np.array([0.5, 1.0 + 2e-12])
     with pytest.raises(ValueError):
-        cap.log_betainc_reg(1.5, 0.5, np.array([0.5, 1.0 + 2e-12]))
+        cap.log_betainc_reg(1.5, 0.5, x, 1.0 - x)
 
 
 @settings(max_examples=100, deadline=None)
@@ -292,8 +293,8 @@ def test_log_betainc_reg_mixed_branches_are_one_point_calls(n, direct, flipped, 
     xs = [thresh * direct * (1.0 - 1e-12), thresh + (1.0 - thresh) * flipped * (1.0 - 1e-12)]
     xs += edges
     order.shuffle(xs)
-    got = cap.log_betainc_reg(a, b, np.array(xs))
-    assert got.tolist() == [cap.log_betainc_reg(a, b, x) for x in xs]
+    got = cap.log_betainc_reg(a, b, np.array(xs), 1.0 - np.array(xs))
+    assert got.tolist() == [cap.log_betainc_reg(a, b, x, 1.0 - x) for x in xs]
 
 
 @settings(max_examples=100, deadline=None)
@@ -309,8 +310,9 @@ def test_log_betainc_reg_one_branch_array_is_the_masked_evaluation(n, side, frac
     x = np.array([low + (high - low) * f for f in fractions])
     x = x[(x > low if side == "direct" else x >= low) & (x < high)]
     if x.size:
-        masked = cap.log_betainc_reg(a, b, np.append(x, 1.0))
-        assert cap.log_betainc_reg(a, b, x).tolist() == masked[:-1].tolist()
+        planted = np.append(x, 1.0)
+        masked = cap.log_betainc_reg(a, b, planted, 1.0 - planted)
+        assert cap.log_betainc_reg(a, b, x, 1.0 - x).tolist() == masked[:-1].tolist()
 
 
 @settings(max_examples=100, deadline=None)

@@ -348,6 +348,59 @@ def test_convergence_failure_leaves_a_json_record(tmp_path, capsys):
     assert all(isinstance(pair[1], float) for pair in error["history"])
 
 
+@pytest.mark.parametrize("failing, succeeding, params", [
+    (["scan", "--n", "16", "--alpha", "3.5"], ["scan", "--n", "16", "--alpha", "1.0"],
+     {"n": [16], "alpha": [3.5], "seed": 0}),
+    (["quad", "--n", "16", "--alpha", "1", "--s", "1e30"],
+     ["quad", "--n", "16", "--alpha", "1", "--s", "10"],
+     {"n": 16, "r": 2.0, "alpha": 1.0, "s": 1e30, "seed": 0}),
+])
+def test_convergence_failure_records_the_params_a_success_writes(
+        failing, succeeding, params, tmp_path):
+    # exit-2 records used to copy the raw options: scan wrote "n": "16" and
+    # "svg": null, quad wrote "r": null where a success writes the 2.0 it ran
+    failed, done = tmp_path / "failed.json", tmp_path / "done.json"
+    assert run(failing + ["--json", str(failed)]) == 2
+    assert run(succeeding + ["--json", str(done)]) == 0
+    doc = _strict_json(failed)
+    jsonschema.validate(doc, load_schema())
+    got, want = doc["params"], _strict_json(done)["params"]
+
+    def types(value):
+        return [type(v) for v in value] if isinstance(value, list) else type(value)
+
+    assert got.keys() == want.keys()
+    assert {key: types(value) for key, value in got.items()} == {
+        key: types(value) for key, value in want.items()}
+    assert got == params
+
+
+@pytest.mark.parametrize("argv", [
+    ["cap", "--n", "64", "--norm", "8", "--r", "2"],
+    ["influence", "--n", "4", "--r", "1.5", "--s", "6", "--samples", "512", "--seed", "2"],
+    ["gsa", "--n", "4", "--r", "1.5", "--s", "6", "--samples-per-facet", "50",
+     "--samples", "512", "--seed", "2"],
+    ["quad", "--n", "16", "--r", "2", "--s", "32"],
+    ["optimize", "--n", "64"],
+    ["scan", "--n", "64", "--alpha", "1e-6,1.0"],
+    ["selftest"],
+])
+def test_csv_carries_the_json_rows(argv, tmp_path):
+    # the CSV header is the rows' own keys plus schema_version, and each line
+    # is its JSON row, a null written as an empty cell
+    out_json, out_csv = tmp_path / "report.json", tmp_path / "report.csv"
+    assert run(argv + ["--json", str(out_json), "--csv", str(out_csv)]) == 0
+    rows = _strict_json(out_json)["rows"]
+    with out_csv.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        header, lines = reader.fieldnames, list(reader)
+    assert rows and len(set(header)) == len(header) and header[-1] == "schema_version"
+    assert all(sorted(header[:-1]) == sorted(row) for row in rows)
+    assert lines == [{**{key: "" if value is None else str(value)
+                         for key, value in row.items()}, "schema_version": "1"}
+                     for row in rows]
+
+
 def test_convergence_failure_writes_non_finite_values_as_null(tmp_path, monkeypatch):
     def diverging(n, r, s):
         raise cli.QuadratureConvergenceError(

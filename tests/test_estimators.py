@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gsalab import cap, estimators, polytope, rng, specfun
+from gsalab import cap, cli, estimators, polytope, rng, specfun
 from gsalab.estimators import (Estimate, estimate_gsa_facets, estimate_hermite_coefficients,
                                estimate_influence_spectral, estimate_volume,
                                influence_from_hermite_estimates)
@@ -33,7 +33,7 @@ def test_estimate_validation():
 
 def test_estimate_row_schema():
     est = Estimate(value=0.5, stderr=0.01, samples=100, seed=3)
-    row = est.to_row("volume")
+    row = cli._row("volume", **vars(est))
     assert row == {"name": "volume", "value": 0.5, "stderr": 0.01,
                    "samples": 100, "seed": 3}
 

@@ -123,11 +123,16 @@ def test_contains_closed_boundary():
 @pytest.mark.parametrize("x", [[-math.inf, 0.0], [0.0, math.inf], [math.nan, 0.0]])
 def test_contains_rejects_a_non_finite_point(x):
     # (-inf, 0) used to read outside, with an 'invalid value encountered in
-    # matmul' warning, although (-1e300, 0) reads inside
+    # matmul' warning, although (-1e300, 0) reads inside; the ball read a NaN
+    # or infinite point as outside without a word
     box = HalfspacePolytope(np.eye(2), np.array([1.0, 1.0]))
     assert box.contains(np.array([-1e300, 0.0]))
     with pytest.raises(ValueError, match="point must be finite"):
         box.contains(np.array(x))
+    ball = Ball(n=2, radius=1.0)
+    assert ball.contains([0.5, 0.0])
+    with pytest.raises(ValueError, match="point must be finite"):
+        ball.contains(x)
 
 
 def test_inradius_naz_and_inscribed_ball():
