@@ -28,12 +28,14 @@ def raic_upper(n: int) -> float:
 def nazarov_lower(n: int) -> float:
     """Reference curve e^(-5/4) n^(1/4).
 
-    e^(-5/4) is the alpha = 1 value of the log-average (Jensen) bound over
-    the chi_n law for the random-polytope construction at r = n^(1/4).  It
-    is not what the shell lower-bound chain certifies, which is far smaller
-    at finite n, nor a certified finite-n lower bound, nor the limit of the
-    construction itself: with s optimized, E[GSA] / n^(1/4) tends to the
-    larger L(alpha) described in the radial module (0.30127 at alpha = 1).
+    e^(-5/4) is the large-n, alpha = 1 value of the log-average (Jensen)
+    bound over the chi_n law for the random-polytope construction at
+    r = n^(1/4).  The finite-n bound (radial.lower_bound_chain, at its best
+    s) lies above it, by about 0.37 / sqrt(n) relative to n^(1/4), so this
+    curve is a reference, not a certified finite-n lower bound, nor the
+    limit of the construction itself: with s optimized, E[GSA] / n^(1/4)
+    tends to the larger L(alpha) described in the radial module (0.30127 at
+    alpha = 1).
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")

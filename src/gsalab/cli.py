@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds, cap, estimators, hermite, polytope, radial, specfun
 from .quadrature import QuadratureConvergenceError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _row(name, value, stderr=None, samples=None, seed=None):
@@ -42,7 +42,8 @@ def _emit(args, params, rows, error=None, echo=True):
     convergence failure (exit code 2) passes its exception as `error`: the
     JSON document has no rows and an `error` object with the message and,
     for a QuadratureConvergenceError, the node ladder as [nodes, value]
-    pairs; no CSV is written.
+    pairs; the file at the CSV path is left empty, so it holds no rows of
+    an earlier run.
     """
     doc = {
         "command": args.command,
@@ -58,7 +59,9 @@ def _emit(args, params, rows, error=None, echo=True):
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(_finite_or_none(doc), fh, sort_keys=True, indent=2, allow_nan=False)
             fh.write("\n")
-    if args.csv and error is None:
+    if args.csv and error is not None:
+        open(args.csv, "w", encoding="utf-8").close()
+    elif args.csv:
         columns = [*dict.fromkeys(key for row in rows for key in row), "schema_version"]
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=columns, quoting=csv.QUOTE_MINIMAL)
@@ -98,7 +101,9 @@ def _svg_chart(path, reports):
         "construction": [max(rep.ratio_to_n14 for rep in reports if rep.n == n) for n in ns],
         "upper-raic": [bounds.raic_upper(n) / n**0.25 for n in ns],
         "upper-ball": [bounds.ball_upper(n) / n**0.25 for n in ns],
-        "shell-lower-bound": [bounds.nazarov_lower(n) / n**0.25 for n in ns],
+        "jensen-lower-bound": [max(rep.gsa_lower for rep in reports if rep.n == n) / n**0.25
+                               for n in ns],
+        "jensen-limit-e^(-5/4)": [bounds.nazarov_lower(n) / n**0.25 for n in ns],
     }
     width, height, pad = 640, 400, 50
     xs = [math.log(n) for n in ns]
@@ -108,7 +113,8 @@ def _svg_chart(path, reports):
     y_lo = 0.0
     y_hi = max(max(v) for v in series.values()) * 1.1
     colors = {"construction": "#d62728", "upper-raic": "#1f77b4",
-              "upper-ball": "#7f7f7f", "shell-lower-bound": "#2ca02c"}
+              "upper-ball": "#7f7f7f", "jensen-lower-bound": "#2ca02c",
+              "jensen-limit-e^(-5/4)": "#9467bd"}
 
     def px(x):
         return pad + (x - x_lo) / (x_hi - x_lo) * (width - 2 * pad)
@@ -243,11 +249,11 @@ def _cmd_optimize(args, params):
     ]
     if args.n is not None:
         r = params["r"]
-        s_rule = radial.choose_s(args.n, r, c1_star)
         s_star = radial.optimize_s(args.n, r)
-        gsa = radial.expected_gsa(args.n, r, float(s_star))
+        chain = radial.lower_bound_chain(args.n, r, float(s_star))
+        gsa = chain.exact_quadrature / r
         rows.extend([
-            _row("facet-count-rule", s_rule),
+            _row("facet-count-rule", max(1, round(chain.s_jensen))),
             _row("facet-count-optimal", s_star),
             _row("expected-gsa-at-optimal-s", gsa),
             _row("ratio-to-n14", gsa / args.n**0.25),
@@ -265,16 +271,13 @@ def _cmd_scan(args, params):
     rows = []
     for rep in reports:
         rows.append({
-            "n": rep.n, "alpha": rep.alpha, "r": rep.r, "s": rep.s, "c1": rep.c1,
+            "n": rep.n, "alpha": rep.alpha, "r": rep.r, "s": rep.s,
             "exact_influence": rep.exact_quadrature,
             "expected_gsa": rep.exact_quadrature / rep.r,
             "chain_value": rep.chain_value,
-            "bernoulli_value": rep.bernoulli_value,
             "gsa_lower": rep.gsa_lower,
+            "s_jensen": rep.s_jensen,
             "ratio_to_n14": rep.ratio_to_n14,
-            "vol_shell": rep.vol_shell,
-            "inf_F": rep.inf_F, "inf_G": rep.inf_G, "sup_G": rep.sup_G,
-            "stitch_factor_min": rep.stitch_factor_min,
             "raic_upper": bounds.raic_upper(rep.n),
             "ball_upper": bounds.ball_upper(rep.n),
             "nazarov_lower": bounds.nazarov_lower(rep.n),
@@ -336,28 +339,10 @@ def _selftest_checks():
         assert abs(value - math.exp(-1.25)) <= 1e-9
 
     def chain_dominance():
-        c1_star, _ = radial.optimal_c1()
         for n, r, s in ((64, 64**0.25, 200.0),
-                        (256, 4.0, float(radial.choose_s(256, 4.0, c1_star)))):
+                        (256, 4.0, float(radial.optimize_s(256, 4.0)))):
             rep = radial.lower_bound_chain(n, r, s)
             assert rep.chain_value <= rep.exact_quadrature + 1e-10
-
-    def shell_edge_infima():
-        # the chain reads six shell infima at an edge; on the 513-point shell
-        # grid each must be the grid minimum, also where F peaks inside the
-        # shell (r = 0.9 at n = 64)
-        for n, r, s in ((64, 0.9, 29.0), (256, 4.0, 35720.0), (65536, 14.4, 4e46)):
-            xs = np.linspace(*radial.shell_for(n), radial._SHELL_GRID)
-            log_f = cap.log_F_dilation(n, r, xs)
-            log_g = cap.log_complement_upper_from_ratio(n, r / xs)
-            log_1m_g = radial._log_1m_g(log_g)
-            log_s, g_list = math.log(s), log_g.tolist()
-            grid = (float(log_f.min()), float(log_g.min()), float(log_g.max()),
-                    float((s * log_1m_g).min()),
-                    min(radial._stitch_log(log_s, g) for g in g_list),
-                    min(radial._stitch_factor(log_s, g) for g in g_list))
-            edge = radial._shell_edge_reads(log_f, log_g, log_1m_g, s)
-            assert edge == grid, f"edge reads {edge} vs grid minima {grid} at n={n}"
 
     def batched_s_grid():
         # optimize_s integrates its 48 values of s on one node ladder; each
@@ -387,7 +372,6 @@ def _selftest_checks():
         ("h2-bridge-identity", h2_bridge),
         ("c1-closed-form", c1_closed_form),
         ("chain-dominance", chain_dominance),
-        ("shell-edge-infima", shell_edge_infima),
         ("batched-s-grid", batched_s_grid),
         ("polytope-invariants", polytope_invariants),
     ]
@@ -466,8 +450,9 @@ def build_parser():
     p.set_defaults(func=_cmd_quad, params=_quad_params)
 
     p = sub.add_parser("optimize", help="read c1 at its stationary point, where the "
-                       "objective is e^(-5/4), the alpha = 1 log-average (Jensen) bound; "
-                       "with --n, tune s")
+                       "objective is e^(-5/4), the large-n alpha = 1 value of the "
+                       "log-average (Jensen) bound; with --n, tune s and give the s "
+                       "that maximizes the finite-n Jensen bound")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--r", type=float, default=None)
     add_output(p)

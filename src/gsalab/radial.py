@@ -8,23 +8,21 @@ collapses to a one-dimensional integral over the radius rho:
 with F the dilation-derivative factor and P the cap measure at ratio r/rho.
 Everything here is assembled in log space per node, because s reaches 1e7
 and beyond while P sits just below one.  The module also evaluates the
-step-by-step lower-bound chain on the radius shell, the facet-count
-selection rule, and the rule's constant c1, read at its closed-form
-stationary point, where the objective is e^(-5/4).  F rises and then falls
-in rho and the complement bound G rises, so every shell infimum built from
-F or G alone is read at a shell edge; the two chain steps that mix F with a
-power of P or of 1 - G are taken as minima over one 513-point grid on the
-shell.
-Windows, node counts, the shell and every tolerance follow from n alone; a
+log-average (Jensen) lower bound on that integral over the chi_n law, the
+facet count that maximizes it, and the constant c1, read at its closed-form
+stationary point, where the objective is e^(-5/4).
+Windows, node counts and every tolerance follow from n alone; a
 QuadratureSpec only switches the influence integral to the adaptive rule
 that serves as its independent check.
 
-e^(-5/4) is the alpha = 1 value of the log-average (Jensen) bound over the
-chi_n law: with rho = sqrt(n) + g, g ~ N(0, 1/2), Jensen's inequality gives
+e^(-5/4) is the alpha = 1 limit of the Jensen bound: with
+rho = sqrt(n) + g, g ~ N(0, 1/2), Jensen's inequality gives
 alpha e^(-1) e^(-alpha^4/4) for GSA / n^(1/4) at r = alpha n^(1/4) as n
-grows.  The shell chain certifies far less: at alpha = 1 its
-log_chain_value is -8.66 at n = 64 and -1046.5 at n = 4096 (scan_report).
-Nor is e^(-5/4) the limit of the optimized expectation.  With
+grows.  At finite n the bound stays within 10% of the exact value: at
+alpha = 1 and s optimized its log_chain_value is 0.936 against
+ln(exact) = 1.031 at n = 64, and 2.924 against 2.981 at n = 4096
+(scan_report).
+e^(-5/4) is not the limit of the optimized expectation either: with
 r = alpha n^(1/4) and s optimized, E[GSA] / n^(1/4) tends to the larger
 L(alpha) = alpha * sup_lambda E[lambda e^(alpha^2 g) exp(-lambda e^(alpha^2 g))],
 g ~ N(0, 1/2) (L(1) = 0.30127), from above at a rate of order n^(-1/2).
@@ -41,7 +39,7 @@ import numpy as np
 from .cap import (_LOG_MAX, cap_log_complement_from_ratio,
                   log_complement_upper_from_ratio, log_F_dilation)
 from .golden import golden_section_max
-from .quadrature import composite_nodes, integrate_doubling, node_ladder
+from .quadrature import _relative_step, composite_nodes, integrate_doubling, node_ladder
 from .specfun import SQRT_2PI, chi_log_density, log1mexp, log_tau_n
 
 _NODES = 128
@@ -51,7 +49,6 @@ _MAX_DOUBLINGS = 12
 _TABLES_KEPT = 16  # one node table per rung of a full ladder: 128 << 0..12
 _CHAIN_SLACK = 1e-10
 _COARSE_GRID = 48
-_SHELL_GRID = 513
 _LOG_UNDERFLOW = -746.0  # math.exp is exactly 0.0 below this
 _BLOCK = 1 << 18  # log integrands per array when many s climb the ladder together
 
@@ -90,48 +87,26 @@ class QuadratureSpec:
         return cls(rho_lo=max(root - 12.0, 0.0), rho_hi=root + 12.0, rule=rule)
 
 
-def shell_for(n: int) -> tuple[float, float]:
-    """(rho_min, rho_max) = sqrt(n) -+ n^(1/4), the shell, for n >= 4.
-
-    The shell only carries the cap-complement bound G of the chain, and G
-    exists for n >= 4 alone, so smaller dimensions are rejected here rather
-    than downstream.  rho_min = n^(1/4) (n^(1/4) - 1) is positive there.
-    """
-    if n < 4:
-        raise ValueError(f"shell needs n >= 4 for the complement bound G, got {n}")
-    t = n**0.25
-    root = math.sqrt(n)
-    return root - t, root + t
-
-
 @dataclass(frozen=True)
 class LowerBoundReport:
-    """Per-configuration record of the exact integral and the chain of bounds.
+    """Per-configuration record of the exact integral and its Jensen lower bound.
 
-    chain_value is the shell infimum bound with the exact cap complement
-    replaced by its closed-form upper bound; bernoulli_value additionally
-    relaxes (1-G)^s through exp(-sG)(1 - s G^2 e^G).  Both come with log
-    fields because at large n they underflow linear doubles long before the
-    ordering checks lose meaning.
+    chain_value is m_W exp(E_W[h]) at the report's s (see lower_bound_chain),
+    with log_chain_value its log, kept because the bound underflows linear
+    doubles at large s long before the check against the exact value loses
+    meaning.  s_jensen is the facet count that maximizes the bound.
     """
 
     n: int
     r: float
     s: float
     alpha: float
-    c1: float
     exact_quadrature: float
     chain_value: float
-    bernoulli_value: float
     gsa_lower: float
     ratio_to_n14: float
     log_chain_value: float
-    log_bernoulli_value: float
-    vol_shell: float
-    inf_F: float
-    inf_G: float
-    sup_G: float
-    stitch_factor_min: float
+    s_jensen: float
 
 
 def _logsumexp_rows(values: np.ndarray) -> list[float]:
@@ -311,29 +286,6 @@ def expected_gsa_grid(n: int, r: float, ln_s: np.ndarray) -> np.ndarray:
     return np.array(_influences_on_ladder(n, r, lo, spec.rho_hi, s_values)) / r
 
 
-def choose_s(n: int, r: float, c1: float) -> int:
-    """Facet count from the selection rule s * inf_shell(F) = c1, for n >= 4.
-
-    d/drho log F = -1/rho + (n - 3) r^2 / (rho (rho^2 - r^2)) vanishes only
-    at rho = r sqrt(n - 2), so F rises and then falls on rho > r, and its
-    infimum over the shell is the lower of its two edge values, for any r.
-    s is rounded to the nearest integer, so s * inf F = c1 holds only to
-    within inf F / 2 (1/(2s) relative).
-    """
-    rho_min, rho_max = shell_for(n)
-    if not c1 > 0.0:
-        raise ValueError(f"c1 must be > 0, got {c1}")
-    if rho_min <= r:
-        raise ValueError(
-            f"degenerate shell: inner radius {rho_min} does not clear r={r}")
-    log_inf_f = float(log_F_dilation(n, r, np.array([rho_min, rho_max])).min())
-    log_s = math.log(c1) - log_inf_f
-    if log_s > _LOG_MAX:
-        raise _double_range_error(f"choose_s at (n={n}, r={r}, c1={c1})", log_s)
-    inf_f = math.exp(log_inf_f)
-    return max(1, int(round(c1 / inf_f if inf_f > 0.0 else math.exp(log_s))))
-
-
 def optimal_c1():
     """Maximize (c/sqrt(2 pi)) exp(-c e^(1/4) / sqrt(2 pi)) over c > 0.
 
@@ -388,138 +340,72 @@ def optimize_s(n: int, r: float) -> int:
     return max(1, int(round(math.exp(ln_star))))
 
 
-def _log_1m_g(g_log):
-    """log(1 - G) from log G; log1mexp(0) = -inf covers G >= 1."""
-    return log1mexp(np.minimum(g_log, 0.0))
-
-
-# The stitch terms stay on math.exp/math.log, one float at a time: numpy's
-# exp may differ from math.exp in the last bit.
-def _stitch_log(log_s: float, g_log: float) -> float:
-    """log of e^(-sG) (1 - s G^2 e^G), the Bernoulli relaxation of (1-G)^s."""
-    sg_log = log_s + g_log
-    if sg_log > 700.0:
-        return -math.inf
-    sg = math.exp(sg_log)
-    g = math.exp(g_log)
-    factor = 1.0 - sg * g * math.exp(min(g, 700.0))
-    if factor <= 0.0:
-        return -math.inf
-    return -sg + math.log(factor)
-
-
-def _stitch_factor(log_s: float, g_log: float) -> float:
-    """The stitch factor 1 - s G^2 e^G."""
-    sg2 = math.exp(min(log_s + 2.0 * g_log, 700.0))
-    return 1.0 - sg2 * math.exp(min(math.exp(g_log), 700.0))
-
-
-def _shell_edge_reads(log_f: np.ndarray, log_g: np.ndarray, log_1m_g: np.ndarray,
-                      s: float):
-    """The six shell infima the theory puts at an edge, read from the edges.
-
-    log_f, log_g and log_1m_g are log F, log G and log(1 - G) on a grid over
-    the shell, inner edge first.  F rises up to rho = r sqrt(n - 2) and
-    falls after it, so its infimum is the lower edge value.  G rises with
-    rho, and s log(1 - G), the stitch log and the stitch factor all fall as
-    G grows, so theirs sit at the outer edge.  Returns log inf F, log inf G,
-    log sup G, inf s log(1 - G), inf stitch log and inf stitch factor.
-    """
-    log_s = math.log(s)
-    g_top = float(log_g[-1])
-    return (min(float(log_f[0]), float(log_f[-1])), float(log_g[0]), g_top,
-            s * float(log_1m_g[-1]), _stitch_log(log_s, g_top),
-            _stitch_factor(log_s, g_top))
-
-
 def lower_bound_chain(n: int, r: float, s: float) -> LowerBoundReport:
-    """Evaluate every step of the shell lower bound at finite n.
+    """The exact integral at s and its Jensen (log-average) lower bound.
 
-    Steps, each a pointwise theorem on the shell (no asymptotics):
+    On the window W = [max(sqrt(n) - 12, r + 1), sqrt(n) + 12], with
+    h = ln s + ln tau_n + ln F + (s - 1) ln P the log integrand,
 
-      exact >= vol(shell) * inf{ s tau F P^(s-1) }                    (v1)
-            >= vol(shell) * tau * inf{ s F (1-G)^(s-1) }             (v2, cap bound)
-            >= vol(shell) * tau * c1 * inf{ (1-G)^s }                (v3, c1 = s inf F)
-            >= vol(shell) * tau * c1 * inf{ e^(-sG) (1 - s G^2 e^G) } (v4, Bernoulli)
+      exact >= integral_W chi_n e^h >= m_W exp(E_W[h]),
 
-    log F, log G and log P are each evaluated once on one 513-point grid on
-    the shell.  inf F, inf G, sup G, v3, v4 and the stitch factor can only
-    sit at a shell edge (see _shell_edge_reads) and are read from there.
-    v1 and v2 are the minima of their integrands over the same grid.  A grid
-    minimum is not a certified infimum, only an upper estimate of it; but on
-    4000 random cells (n = 4 ... 1e5, alpha = 0.05 ... 2, s = 1 ... 1e12)
-    every finite grid minimum of v1 and v2 sat at a shell edge, and a golden
-    search to 1e-9 around each grid argmin changed no report of a 1080-cell
-    sweep (n = 7 ... 1e5, alpha = 0.25 ... 2, s optimized and 1 ... 1e12).
-    At s = 1 the (s - 1) power terms are exactly 0, also where log(1 - G)
-    is -inf.  Any ordering violation beyond 1e-10 relative slack raises.
-    chain_value is v2, bernoulli_value is v4.
+    the second step by Jensen's inequality on the chi_n law restricted to W,
+    whose mass is m_W.  W is the exact integral's window moved one unit clear
+    of rho = r, where ln F tends to -inf; wherever the two coincide, the
+    ln P node tables the bound reads are the ones the exact integral built.
+    The log-moments integral_W chi_n ln F and integral_W chi_n ln P climb one
+    node ladder as two entries, each settled to 1e-8 relative.  The bound is
+    largest at s_jensen = -m_W / integral_W chi_n ln P.  At s = 1 the
+    (s - 1) term is exactly 0.  A bound above the exact value beyond 1e-10
+    relative slack raises ChainViolationError; an empty W, or an s_jensen
+    past the double range, raises ValueError.
     """
     exact = expected_influence_quadrature(n, r, s)
-    rho_min, rho_max = shell_for(n)
-    log_tau = log_tau_n(n)
-    log_s = math.log(s)
+    spec = QuadratureSpec.for_dimension(n)
+    lo, hi = max(spec.rho_lo, r + 1.0), spec.rho_hi
+    if not lo < hi:
+        raise ValueError(f"Jensen window empty at (n={n}, r={r}): r + 1 >= sqrt(n) + 12")
+    mass = integrate_doubling(
+        lambda x: np.exp(chi_log_density(n, x)), lo, hi, nodes=_NODES, rel_tol=_REL_TOL)
 
-    vol_shell = integrate_doubling(
-        lambda x: np.exp(chi_log_density(n, x)), rho_min, rho_max,
-        nodes=128, rel_tol=1e-12)
-    log_vol = math.log(vol_shell)
+    def log_moments(nodes, live):
+        x, w = composite_nodes(lo, hi, nodes)
+        chi_w = w * np.exp(chi_log_density(n, x))
+        logs = (log_F_dilation(n, r, x), _node_table(n, r, lo, hi, nodes)[1])
+        return [float(np.dot(chi_w, logs[i])) for i in live]
 
-    def power(log_base):  # (s - 1) log_base, exactly 0 at s = 1
-        return (s - 1.0) * log_base if s != 1.0 else 0.0
+    def what(i):
+        return f"Jensen {('ln F', 'ln P')[i]} moment at (n={n}, r={r})"
 
-    xs = np.linspace(rho_min, rho_max, _SHELL_GRID)
-    LF = log_F_dilation(n, r, xs)
-    LG = log_complement_upper_from_ratio(n, r / xs)
-    LP = log1mexp(cap_log_complement_from_ratio(n, r / xs))
-    L1mG = _log_1m_g(LG)
-
-    log_inf_F, log_inf_G, log_sup_G, log_1mG_s, log_stitch, stitch_min = \
-        _shell_edge_reads(LF, LG, L1mG, s)
-    log_c1 = log_s + log_inf_F
-
-    log_v1 = log_vol + float((log_s + log_tau + LF + power(LP)).min())
-    log_v2 = log_vol + log_tau + float((log_s + LF + power(L1mG)).min())
-    log_v3 = log_vol + log_tau + log_c1 + log_1mG_s
-    log_v4 = log_vol + log_tau + log_c1 + log_stitch
-
-    def check(name, larger_log, smaller_log):
-        if smaller_log == -math.inf:
-            return
-        if math.exp(smaller_log) > math.exp(min(larger_log, 700.0)) * (1.0 + _CHAIN_SLACK) \
-           + _CHAIN_SLACK:
-            raise ChainViolationError(
-                f"chain step {name} violated at (n={n}, r={r}, s={s}): "
-                f"log {larger_log} < log {smaller_log}")
-
-    log_exact = math.log(exact) if exact > 0.0 else -math.inf
-    check("exact >= v1", log_exact, log_v1)
-    check("v1 >= v2", log_v1, log_v2)
-    check("v2 >= v3", log_v2, log_v3)
-    check("v3 >= v4", log_v3, log_v4)
-
-    chain_value = math.exp(log_v2) if log_v2 > -math.inf else 0.0
-    bernoulli_value = math.exp(log_v4) if log_v4 > -math.inf else 0.0
+    int_log_f, int_log_p = node_ladder(log_moments, _NODES, _relative_step, _REL_TOL,
+                                       _GIVE_UP_TOL, _MAX_DOUBLINGS, what, entries=2)
+    if int_log_p == 0.0:
+        raise ValueError(f"Jensen facet count at (n={n}, r={r}): ln P underflows to 0 on "
+                         f"the whole window, so ln s is beyond the double range "
+                         f"(s must stay below the largest double, ln s <= {_LOG_MAX:.2f})")
+    log_mass = math.log(mass)
+    log_s_jensen = log_mass - math.log(-int_log_p)
+    if log_s_jensen > _LOG_MAX:
+        raise _double_range_error(f"Jensen facet count at (n={n}, r={r})", log_s_jensen)
+    log_bound = (log_mass + math.log(s) + log_tau_n(n)
+                 + (int_log_f + (s - 1.0) * int_log_p) / mass)
+    chain_value = math.exp(min(log_bound, 700.0))  # above 700 it fails the check
+    if chain_value > exact * (1.0 + _CHAIN_SLACK) + _CHAIN_SLACK:
+        raise ChainViolationError(
+            f"Jensen bound above the exact value at (n={n}, r={r}, s={s}): "
+            f"log {log_bound} > log {math.log(exact) if exact > 0.0 else -math.inf}")
     return LowerBoundReport(
         n=n, r=r, s=s, alpha=r / n**0.25,
-        c1=math.exp(log_c1),
         exact_quadrature=exact,
         chain_value=chain_value,
-        bernoulli_value=bernoulli_value,
         gsa_lower=chain_value / r,
         ratio_to_n14=(exact / r) / n**0.25,
-        log_chain_value=log_v2,
-        log_bernoulli_value=log_v4,
-        vol_shell=vol_shell,
-        inf_F=math.exp(log_inf_F),
-        inf_G=math.exp(log_inf_G),
-        sup_G=math.exp(log_sup_G),
-        stitch_factor_min=stitch_min,
+        log_chain_value=log_bound,
+        s_jensen=-mass / int_log_p,
     )
 
 
 def scan_report(n_list, alpha_list) -> list[LowerBoundReport]:
-    """Optimize the facet count and run the chain for each (n, alpha) cell.
+    """Optimize the facet count and run the Jensen chain for each (n, alpha) cell.
 
     r = alpha * n^(1/4) per cell; reports come back in (n, alpha) order.
     """

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Criteria 2 and 11 check the optimized ratio E[GSA] / n^(1/4)
-against its true limit L(alpha) (see limit_ratio), not against the shell
-lower-bound constant e^(-5/4): the ratio falls toward L(1) = 0.30127 from
+against its true limit L(alpha) (see limit_ratio), not against the Jensen
+bound's limit constant e^(-5/4): the ratio falls toward L(1) = 0.30127 from
 above, and the offset-multiplier grid peaks where L does, at alpha = 1.25.
 """
 

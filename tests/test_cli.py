@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -168,19 +169,18 @@ def test_scan_csv_deterministic(tmp_path):
 
 
 def test_scan_rows_frozen_regression(tmp_path):
-    # rows of `scan --n 256 --alpha 1.0`, frozen from the serial pipeline
-    # before the radial code was pruned; any change to them is a change of result
+    # rows of `scan --n 256 --alpha 1.0`; every column but the Jensen bound's
+    # three (chain_value, gsa_lower, s_jensen) is frozen from the serial
+    # pipeline before the radial code was pruned, and those three from the
+    # first Jensen chain; any change to them is a change of result
     out = tmp_path / "scan.json"
     assert run(["scan", "--n", "256", "--alpha", "1.0", "--json", str(out)]) == 0
     assert json.loads(out.read_text())["rows"] == [{
-        "alpha": 1.0, "ball_upper": 16.0, "bernoulli_value": 1.0407639874393225e-14,
-        "c1": 0.004027134233836126, "chain_value": 1.0690940843231455e-10,
+        "alpha": 1.0, "ball_upper": 16.0, "chain_value": 4.8828488957750364,
         "exact_influence": 5.229679629141719, "expected_gsa": 1.3074199072854298,
-        "gsa_lower": 2.6727352108078638e-11, "inf_F": 1.1274171987223197e-07,
-        "inf_G": 5.936150373860542e-08, "n": 256, "nazarov_lower": 1.1460191874407604,
+        "gsa_lower": 1.2207122239437591, "n": 256, "nazarov_lower": 1.1460191874407604,
         "r": 4.0, "raic_upper": 2.5678845608028653, "ratio_to_n14": 0.32685497682135745,
-        "s": 35720.0, "seed": 0, "stitch_factor_min": 0.9772277659019717,
-        "sup_G": 0.000798130271325388, "vol_shell": 0.999999977344374,
+        "s": 35720.0, "s_jensen": 31573.55868545567, "seed": 0,
     }]
 
 
@@ -222,8 +222,10 @@ def test_scan_svg_output(tmp_path):
                 "--svg", str(svg)]) == 0
     text = svg.read_text()
     assert text.startswith("<svg") and "polyline" in text
-    # the green series is e^(-5/4) n^(1/4), the shell lower bound, not the limit
-    assert ">shell-lower-bound<" in text and "limit-reference" not in text
+    # the green series is the rows' Jensen bound; e^(-5/4) n^(1/4) is that
+    # bound's large-n limit at alpha = 1, a reference curve, not a bound
+    assert ">jensen-lower-bound<" in text and ">jensen-limit-e^(-5/4)<" in text
+    assert "shell-lower-bound" not in text and "limit-reference" not in text
 
 
 def test_validation_errors_exit_one():
@@ -271,7 +273,7 @@ def test_selftest_writes_its_report(tmp_path):
     jsonschema.validate(doc, load_schema())
     assert doc["command"] == "selftest"
     assert [row["name"] for row in doc["rows"]] == [name for name, _ in cli._selftest_checks()]
-    assert {"shell-edge-infima", "batched-s-grid"} <= {
+    assert {"chain-dominance", "batched-s-grid"} <= {
         row["name"] for row in doc["rows"]}
     assert all(row["value"] == 1.0 and row["seconds"] >= 0.0 for row in doc["rows"])
     lines = out_csv.read_text().splitlines()
@@ -307,29 +309,53 @@ def _strict_json(path):
     return json.loads(path.read_text(), parse_constant=reject)
 
 
-def test_successful_report_writes_non_finite_values_as_null(tmp_path, capsys):
-    # at alpha = 1e-6 the Bernoulli step is vacuous and 1 - s G^2 e^G
-    # overflows, so the report used to hold `-Infinity`
+@pytest.fixture
+def non_finite_chain(monkeypatch):
+    """Plant -inf in every chain report's s_jensen: no scan row holds a
+    non-finite value of its own."""
+    chain = cli.radial.lower_bound_chain
+
+    def planted(n, r, s):
+        return dataclasses.replace(chain(n, r, s), s_jensen=-math.inf)
+
+    monkeypatch.setattr(cli.radial, "lower_bound_chain", planted)
+
+
+def test_successful_report_writes_non_finite_values_as_null(tmp_path, capsys,
+                                                            non_finite_chain):
+    # a non-finite row value used to reach the report as `-Infinity`
     out = tmp_path / "scan.json"
     assert run(["scan", "--n", "64", "--alpha", "1e-6", "--json", str(out)]) == 0
     doc = _strict_json(out)
     jsonschema.validate(doc, load_schema())
     (row,) = doc["rows"]
-    assert row["stitch_factor_min"] is None and row["n"] == 64
+    assert row["s_jensen"] is None and row["n"] == 64
     assert "ratio_to_n14=" in capsys.readouterr().out
 
 
-def test_csv_writes_a_non_finite_value_as_an_empty_cell(tmp_path):
-    # the same vacuous stitch step the JSON report writes as null used to
-    # reach the CSV as `-inf`
+def test_csv_writes_a_non_finite_value_as_an_empty_cell(tmp_path, non_finite_chain):
+    # the same value the JSON report writes as null used to reach the CSV
+    # as `-inf`
     out = tmp_path / "scan.csv"
     assert run(["scan", "--n", "64", "--alpha", "1e-6", "--csv", str(out)]) == 0
     with out.open(newline="") as fh:
         (row,) = csv.DictReader(fh)
-    assert row["stitch_factor_min"] == ""
+    assert row["s_jensen"] == ""
     for column, cell in row.items():
-        if column != "stitch_factor_min":
+        if column != "s_jensen":
             assert math.isfinite(float(cell)), (column, cell)
+
+
+def test_convergence_failure_empties_an_earlier_csv(tmp_path):
+    # an exit-2 run used to leave the CSV of the run before it in place, so
+    # the path held the alpha = 1.0 row while the JSON record said no rows
+    out_json, out_csv = tmp_path / "scan.json", tmp_path / "scan.csv"
+    outputs = ["--json", str(out_json), "--csv", str(out_csv)]
+    assert run(["scan", "--n", "16", "--alpha", "1.0"] + outputs) == 0
+    assert "16," in out_csv.read_text()
+    assert run(["scan", "--n", "16", "--alpha", "3.5"] + outputs) == 2
+    assert _strict_json(out_json)["rows"] == []
+    assert out_csv.read_text() == ""
 
 
 def test_convergence_failure_leaves_a_json_record(tmp_path, capsys):
@@ -397,7 +423,7 @@ def test_csv_carries_the_json_rows(argv, tmp_path):
     assert rows and len(set(header)) == len(header) and header[-1] == "schema_version"
     assert all(sorted(header[:-1]) == sorted(row) for row in rows)
     assert lines == [{**{key: "" if value is None else str(value)
-                         for key, value in row.items()}, "schema_version": "1"}
+                         for key, value in row.items()}, "schema_version": "2"}
                      for row in rows]
 
 
