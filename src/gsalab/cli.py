@@ -344,19 +344,6 @@ def _selftest_checks():
             rep = radial.lower_bound_chain(n, r, s)
             assert rep.chain_value <= rep.exact_quadrature + 1e-10
 
-    def batched_s_grid():
-        # optimize_s integrates its 48 values of s on one node ladder; each
-        # must be bit for bit the one-point expected_gsa, underflow exits
-        # included (the top of the (1000, 0.5) grid)
-        for n, alpha, width in ((64, 1.0, 3.0), (1000, 0.5, 14.0), (65536, 1.5, 7.0)):
-            r = alpha * n**0.25
-            center = -float(cap.log_complement_upper_from_ratio(n, r / math.sqrt(n)))
-            lo = max(0.0, center - width)
-            grid = np.linspace(lo, center + width, radial._COARSE_GRID)
-            batched = radial.expected_gsa_grid(n, r, grid).tolist()
-            alone = [radial.expected_gsa(n, r, math.exp(g)) for g in grid]
-            assert batched == alone, f"batched s grid differs at (n={n}, alpha={alpha})"
-
     def polytope_invariants():
         params = polytope.NazParams(n=8, offset=1.5, s=12)
         K = polytope.sample_naz(params, seed=11)
@@ -372,7 +359,6 @@ def _selftest_checks():
         ("h2-bridge-identity", h2_bridge),
         ("c1-closed-form", c1_closed_form),
         ("chain-dominance", chain_dominance),
-        ("batched-s-grid", batched_s_grid),
         ("polytope-invariants", polytope_invariants),
     ]
 

@@ -22,8 +22,8 @@ GAUSSIAN = "gaussian-normals"
 FIXED = "fixed-normals"
 
 _UNIT_TOL = 1e-12
-# Point-facet products held at once by a membership test, the same budget as
-# radial._BLOCK; a test's transient memory is O(_TILE) whatever its sizes.
+# Point-facet products held at once by a membership test (2 MiB of float64);
+# a test's transient memory is O(_TILE) whatever its sizes.
 _TILE = 1 << 18
 
 

@@ -10,7 +10,9 @@ Everything here is assembled in log space per node, because s reaches 1e7
 and beyond while P sits just below one.  The module also evaluates the
 log-average (Jensen) lower bound on that integral over the chi_n law, the
 facet count that maximizes it, and the constant c1, read at its closed-form
-stationary point, where the objective is e^(-5/4).
+stationary point, where the objective is e^(-5/4).  The facet count s_star
+that maximizes E[GSA] is found by golden section on ln s alone, each probe
+one integral on the node tables cached for its (n, r).
 Windows, node counts and every tolerance follow from n alone; a
 QuadratureSpec only switches the influence integral to the adaptive rule
 that serves as its independent check.
@@ -48,9 +50,7 @@ _GIVE_UP_TOL = 1e-6
 _MAX_DOUBLINGS = 12
 _TABLES_KEPT = 16  # one node table per rung of a full ladder: 128 << 0..12
 _CHAIN_SLACK = 1e-10
-_COARSE_GRID = 48
 _LOG_UNDERFLOW = -746.0  # math.exp is exactly 0.0 below this
-_BLOCK = 1 << 18  # log integrands per array when many s climb the ladder together
 
 
 class ChainViolationError(RuntimeError):
@@ -109,15 +109,12 @@ class LowerBoundReport:
     s_jensen: float
 
 
-def _logsumexp_rows(values: np.ndarray) -> list[float]:
-    """log of each row's sum of exp; row-wise max, exp and sum give each row
-    the bits the same calls give it as a 1-D array."""
-    top = values.max(axis=1)
-    tops = top.tolist()
-    if not all(map(math.isfinite, tops)):
-        top = np.where(np.isfinite(top), top, 0.0)
-    sums = np.exp(values - top[:, None]).sum(axis=1).tolist()
-    return [t + math.log(total) if math.isfinite(t) else t for t, total in zip(tops, sums)]
+def _logsumexp(values: np.ndarray) -> float:
+    """log of the sum of exp(values), shifted by their maximum."""
+    top = float(values.max())
+    if not math.isfinite(top):
+        return top
+    return top + math.log(float(np.exp(values - top).sum()))
 
 
 def _s_free_log_terms(n: int, r: float, rho, log_w=0.0):
@@ -164,14 +161,6 @@ def _log_step_settled(prev: float, val: float, tol: float) -> bool:
     return (prev == val == -math.inf) or abs(val - prev) <= tol
 
 
-def _check_cell(n: int, r: float) -> None:
-    """The (n, r) checks of the one-point and grid integrals alike."""
-    if n < 4:
-        raise ValueError(f"radial reduction needs n >= 4, got {n}")
-    if not r > 0.0:
-        raise ValueError(f"offset r must be > 0, got {r}")
-
-
 def expected_influence_quadrature(n: int, r: float, s: float,
                                   spec: QuadratureSpec | None = None) -> float:
     """E[influence] of the random polytope by radial quadrature.
@@ -184,13 +173,16 @@ def expected_influence_quadrature(n: int, r: float, s: float,
     max(window_lo, r) and the clamp kink never sits inside a panel.  r = inf
     is the whole-space limit, 0.0; a non-finite s raises ValueError.
     """
-    _check_cell(n, r)
+    if n < 4:
+        raise ValueError(f"radial reduction needs n >= 4, got {n}")
+    if not r > 0.0:
+        raise ValueError(f"offset r must be > 0, got {r}")
     if not 1.0 <= s < math.inf:
         raise ValueError(f"facet count must be finite and >= 1, got {s}")
     if spec is None:
         spec = QuadratureSpec.for_dimension(n)
-    lo = max(spec.rho_lo, r)
-    if lo >= spec.rho_hi:
+    lo, hi = max(spec.rho_lo, r), spec.rho_hi
+    if lo >= hi:
         return 0.0
 
     if spec.rule == "adaptive":
@@ -199,51 +191,26 @@ def expected_influence_quadrature(n: int, r: float, s: float,
         def integrand(x):
             return np.exp(influence_log_integrand(n, r, s, x))
 
-        return adaptive_quad(integrand, lo, spec.rho_hi, abs_tol=1e-10)
+        return adaptive_quad(integrand, lo, hi, abs_tol=1e-10)
 
-    return _influences_on_ladder(n, r, lo, spec.rho_hi, [s])[0]
-
-
-def _influences_on_ladder(n: int, r: float, lo: float, hi: float, s_values) -> list[float]:
-    """E[influence] on [lo, hi] for every s in s_values, on one node ladder.
-
-    Each rung evaluates one (s x nodes) array of log integrands for the s
-    still moving, in blocks of at most _BLOCK entries, and its row-wise
-    log-sum-exp; each s freezes at its own first settled rung, so its value
-    is bit for bit what it gets alone.  The early exit and the convergence
-    error are per s; the error raised is the first s's in order that fails.
-    """
     # chi_n <= 1, F <= 1 and P <= P(lo) on the window, so every node sum is at
     # most (hi - lo) tau_n s P(lo)^(s-1); below the double range it is 0.0 at
     # any node count, where the ladder's absolute log step could never settle.
-    log_room = math.log(hi - lo) + log_tau_n(n)
-    log_p_max = _log_p_max(n, r, lo)
-    log_s = [math.log(s) for s in s_values]
-    climbing = [i for i, s in enumerate(s_values)
-                if not log_room + log_s[i] + (s - 1.0) * log_p_max < _LOG_UNDERFLOW]
-    out = [0.0] * len(s_values)
-    if not climbing:
-        return out
-    log_s_col = np.array([log_s[i] for i in climbing])[:, None]
-    s_m1_col = np.array([s_values[i] - 1.0 for i in climbing])[:, None]
+    log_s = math.log(s)
+    log_bound = math.log(hi - lo) + log_tau_n(n) + log_s + (s - 1.0) * _log_p_max(n, r, lo)
+    if log_bound < _LOG_UNDERFLOW:
+        return 0.0
 
-    def log_values(nodes, rows):
+    def log_value(nodes, live):
         base, log_p = _node_table(n, r, lo, hi, nodes)
-        step = max(1, _BLOCK // nodes)
-        logs = []
-        for j in range(0, len(rows), step):
-            cut = slice(j, j + step) if len(rows) == len(climbing) else rows[j:j + step]
-            logs += _logsumexp_rows(base + log_s_col[cut] + s_m1_col[cut] * log_p)
-        return logs
+        return [_logsumexp(base + log_s + (s - 1.0) * log_p)]
 
-    def what(j):
-        return f"influence quadrature (log values) at (n={n}, r={r}, s={s_values[climbing[j]]})"
+    def what(i):
+        return f"influence quadrature (log values) at (n={n}, r={r}, s={s})"
 
-    logs = node_ladder(log_values, _NODES, _log_step_settled, _REL_TOL, _GIVE_UP_TOL,
-                       _MAX_DOUBLINGS, what, entries=len(climbing))
-    for i, value in zip(climbing, logs):
-        out[i] = math.exp(value)
-    return out
+    (value,) = node_ladder(log_value, _NODES, _log_step_settled, _REL_TOL, _GIVE_UP_TOL,
+                           _MAX_DOUBLINGS, what, entries=1)
+    return math.exp(value)
 
 
 def expected_gsa(n: int, r: float, s: float,
@@ -256,34 +223,6 @@ def _double_range_error(where: str, log_s: float) -> ValueError:
     return ValueError(
         f"{where}: ln s = {log_s:.6g} is beyond the double range "
         f"(s must stay below the largest double, ln s <= {_LOG_MAX:.2f})")
-
-
-def expected_gsa_grid(n: int, r: float, ln_s: np.ndarray) -> np.ndarray:
-    """expected_gsa(n, r, math.exp(g)) for every g in ln_s, on one node ladder.
-
-    Bit for bit the one-point values, early exits, input checks and first
-    convergence error included (see _influences_on_ladder); ln s past the
-    double range, a NaN in ln s or a non-finite r raises ValueError, and an
-    empty grid returns an empty array.
-    """
-    if not math.isfinite(r):
-        raise ValueError(f"offset r must be finite and > 0, got {r}")
-    _check_cell(n, r)
-    ln_s = np.asarray(ln_s, dtype=float).tolist()
-    if not ln_s:
-        return np.zeros(0)
-    if any(map(math.isnan, ln_s)):
-        raise ValueError("facet count must be finite, got ln s = nan")
-    if min(ln_s) < 0.0:
-        raise ValueError(f"facet count must be >= 1, got ln s = {min(ln_s)}")
-    if max(ln_s) > _LOG_MAX:
-        raise _double_range_error(f"facet-count grid at (n={n}, r={r})", max(ln_s))
-    spec = QuadratureSpec.for_dimension(n)
-    lo = max(spec.rho_lo, r)
-    if lo >= spec.rho_hi:
-        return np.zeros(len(ln_s))
-    s_values = [math.exp(g) for g in ln_s]
-    return np.array(_influences_on_ladder(n, r, lo, spec.rho_hi, s_values)) / r
 
 
 def optimal_c1():
@@ -301,42 +240,46 @@ def optimal_c1():
 def optimize_s(n: int, r: float) -> int:
     """The facet count s_star that maximizes expected surface area.
 
-    Works on ln s (continuous relaxation, rounded at the end): a 48-point
-    scan brackets the peak, golden section refines it.  Returns s_star
-    alone; a caller that wants its expected_gsa integrates it once.  The
-    bracket is centered where s times the cap-complement bound at radius
-    sqrt(n) is order one, which is where the integrand stops being killed
-    by either factor.  The 48 values of s share one node ladder
-    (expected_gsa_grid), one (48 x nodes) log-sum-exp per rung, with the
-    one-point values; golden section then integrates one s at a time.  Every value of s is
-    integrated on the default window, so the ladder's node tables are built
-    once per (n, r) and served from cache.  A scan reaching ln s past the
-    double range (about 709.78) raises ValueError, and so does a non-finite r.
+    Works on ln s (continuous relaxation, rounded at the end): golden
+    section runs on the bracket [c - w, c + w], clipped to ln s >= 0, to
+    1e-6 in ln s.  c = -ln G(r / sqrt(n)) centers it where s times the
+    cap-complement bound at radius sqrt(n) is order one, which is where the
+    integrand stops being killed by either factor; w starts at ln 1e3.  An
+    argmax within 1e-6 of the bracket's top, or of a bottom above ln s = 0,
+    doubles w, at most four brackets in all.  Returns s_star alone; a caller
+    that wants its expected_gsa integrates it once.  Every probe integrates
+    one s on the default window, so the node tables are built once per
+    (n, r) and served from cache.  A bracket reaching ln s past the double
+    range (about 709.78) raises ValueError before any probe, and so does a
+    non-finite r or an r at or past the window top sqrt(n) + 12, where
+    E[GSA] is 0.0 for every s.
     """
     if n < 7:
         raise ValueError(f"optimize_s needs n >= 7, got {n}")
     if not 0.0 < r < math.inf:
         raise ValueError(f"offset r must be finite and > 0, got {r}")
-    log_g_center = float(log_complement_upper_from_ratio(n, r / math.sqrt(n)))
+    top = QuadratureSpec.for_dimension(n).rho_hi
+    if not r < top:
+        raise ValueError(f"offset r = {r} is at or past the radial window top "
+                         f"sqrt(n) + 12 = {top}: E[GSA] is 0.0 for every s")
+    center = -float(log_complement_upper_from_ratio(n, r / math.sqrt(n)))
+    tol = 1e-6
 
     def objective(ln_s):
         return expected_gsa(n, r, math.exp(ln_s))
 
     half_width = math.log(1e3)
-    for attempt in range(4):
-        lo = max(0.0, -log_g_center - half_width)
-        hi = max(lo + 1.0, -log_g_center + half_width)
-        grid = np.linspace(lo, hi, _COARSE_GRID)
-        vals = expected_gsa_grid(n, r, grid)
-        k = int(np.argmax(vals))
-        if 0 < k < _COARSE_GRID - 1 or (k == 0 and lo == 0.0):
+    for _ in range(4):
+        lo = max(0.0, center - half_width)
+        hi = max(lo + 1.0, center + half_width)
+        if hi > _LOG_MAX:
+            raise _double_range_error(f"facet-count bracket at (n={n}, r={r})", hi)
+        ln_star = golden_section_max(objective, lo, hi, tol=tol)
+        if not (hi - ln_star <= tol or (lo > 0.0 and ln_star - lo <= tol)):
             break
         half_width *= 2.0
     else:
         raise RuntimeError(f"facet-count optimum not bracketed at (n={n}, r={r})")
-    a = grid[max(0, k - 1)]
-    b = grid[min(_COARSE_GRID - 1, k + 1)]
-    ln_star = golden_section_max(objective, a, b, tol=1e-6)
     return max(1, int(round(math.exp(ln_star))))
 
 

@@ -20,7 +20,11 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def gaussian_pdf(x: float) -> float:
-    """Standard normal density (2*pi)^(-1/2) * exp(-x^2/2)."""
+    """Standard normal density (2*pi)^(-1/2) * exp(-x^2/2).
+
+    x is read as a Python float, whose x * x is inf past 1e154 without the
+    overflow warning an np.float64 gives."""
+    x = float(x)
     return math.exp(-0.5 * x * x) / SQRT_2PI
 
 

@@ -45,10 +45,12 @@ def test_single_halfspace_closed_form():
 
 
 def test_influence_quadrature_validation():
-    with pytest.raises(ValueError):
-        expected_influence_quadrature(3, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        expected_influence_quadrature(16, -1.0, 2.0)
+    for n in (2, 3):
+        with pytest.raises(ValueError, match="radial reduction needs n >= 4"):
+            expected_influence_quadrature(n, 0.5, 2.0)
+    for r in (0.0, -1.0):
+        with pytest.raises(ValueError, match="offset r must be > 0"):
+            expected_influence_quadrature(64, r, 2.0)
     with pytest.raises(ValueError):
         expected_influence_quadrature(16, 1.0, 0.5)
 
@@ -285,7 +287,9 @@ def test_chain_never_trips_on_valid_configs():
 # exact_quadrature, chain_value, gsa_lower, ratio_to_n14, log_chain_value,
 # s_jensen); s is the optimized facet count.  The exact-integral fields are
 # the values the shell chain's reports held; the bound's three are frozen
-# from the first Jensen chain.
+# from the first Jensen chain.  s is golden section's landing point, to
+# 1e-6 in ln s, on optimize_s's bracket, and the fields read at s are
+# frozen there.
 CHAIN_FROZEN = {
     (16, 1.0): (
         16, 2.0, 55.0, 1.0, 1.5762345344626725, 1.3217833060739583, 0.6608916530369792,
@@ -294,15 +298,15 @@ CHAIN_FROZEN = {
         64, 2.121320343559643, 63.0, 0.75, 1.8792224143871572, 1.838930057826216,
         0.8668799426777914, 0.3132037357311928, 0.6091839121779952, 58.393231405563554),
     (1024, 1.2): (
-        1024, 6.788225099390856, 235609419571.0, 1.2, 12.442537498487965,
-        9.87976393555871, 1.4554266823658035, 0.3240244140231241, 2.2904886183122564,
+        1024, 6.788225099390856, 235609370152.0, 1.2, 12.442537498488052,
+        9.879764634612243, 1.4554267853461147, 0.3240244140231264, 2.2904886890683507,
         176178180360.55862),
     (4096, 1.0): (
-        4096, 8.0, 1768540977739982.0, 1.0, 19.709494973121586, 18.61863588845824,
-        2.32732948605728, 0.3079608589550248, 2.924163008609824, 1607468795312186.0),
+        4096, 8.0, 1768541444386440.0, 1.0, 19.709494973121746, 18.618635396192783,
+        2.327329424524098, 0.3079608589550273, 2.9241629821704294, 1607468795312186.0),
     (65536, 0.9): (
-        65536, 14.4, 4.039999896875547e+46, 0.9, 66.6943625873116, 65.06771293652118,
-        4.518591176147304, 0.28947205984076213, 4.175428465148627, 3.865218403434339e+46),
+        65536, 14.4, 4.0399997737469345e+46, 0.9, 66.69436258731142, 65.06771302619545,
+        4.518591182374684, 0.28947205984076135, 4.175428466526796, 3.865218403434339e+46),
 }
 
 
@@ -446,106 +450,32 @@ def test_chain_runs_no_golden_search(monkeypatch):
     assert searches == []
 
 
-def coarse_grid(n, alpha, widen):
-    # optimize_s's ln s grid at bracket attempt `widen` (the half width doubles)
-    r = alpha * n**0.25
+def first_bracket(n, r):
+    # optimize_s's first ln s bracket, [c - ln 1e3, c + ln 1e3] clipped to ln s >= 0
     center = -float(log_complement_upper_from_ratio(n, r / math.sqrt(n)))
-    half_width = math.log(1e3) * 2.0**widen
-    lo = max(0.0, center - half_width)
-    return r, np.linspace(lo, max(lo + 1.0, center + half_width), radial._COARSE_GRID)
+    lo = max(0.0, center - math.log(1e3))
+    return lo, max(lo + 1.0, center + math.log(1e3))
 
 
-def assert_grid_is_one_point_grid(n, r, grid):
-    try:
-        want = [expected_gsa(n, r, math.exp(g)) for g in grid]
-    except QuadratureConvergenceError as exc:
-        with pytest.raises(QuadratureConvergenceError) as err:
-            radial.expected_gsa_grid(n, r, grid)
-        assert str(err.value) == str(exc)
-        assert err.value.history == exc.history
-        return None
-    got = radial.expected_gsa_grid(n, r, grid)
-    assert got.tolist() == want
-    return got
-
-
-@settings(max_examples=25, deadline=None)
-@given(log_n=st.floats(math.log(7), math.log(100_000)), alpha=st.floats(0.5, 1.5),
-       widen=st.integers(0, 1))
-def test_batched_s_grid_is_the_one_point_grid(log_n, alpha, widen):
-    n = int(round(math.exp(log_n)))
-    assert_grid_is_one_point_grid(n, *coarse_grid(n, alpha, widen))
-
-
-@pytest.mark.parametrize("n, alpha, widen, exits", [
-    (1000, 0.5, 1, 1), (1000, 0.5, 2, 20), (100_000, 0.5, 1, 7)])
-def test_batched_s_grid_keeps_the_underflow_exit(monkeypatch, n, alpha, widen, exits):
-    # the top of a widened grid lies below the double range: those s are 0.0
-    # without entering the ladder (the next s or so reach 0.0 through it)
-    entries = []
-    ladder = radial.node_ladder
-
-    def spy(*args, **kwargs):
-        entries.append(kwargs["entries"])
-        return ladder(*args, **kwargs)
-
-    r, grid = coarse_grid(n, alpha, widen)
-    want = [expected_gsa(n, r, math.exp(g)) for g in grid]
-    monkeypatch.setattr(radial, "node_ladder", spy)
-    got = radial.expected_gsa_grid(n, r, grid)
-    assert got.tolist() == want
-    assert entries == [radial._COARSE_GRID - exits]
-    assert got[-exits:].tolist() == [0.0] * exits
-
-
-def test_batched_s_grid_settles_each_s_at_its_own_rung(monkeypatch):
-    # at (4096, 1.0) some s settle at 256 nodes, the rest need a third rung;
-    # only the s still moving are evaluated there
-    rows = []
-    ladder = radial.node_ladder
-
-    def spy(evaluate, *args, **kwargs):
-        def recorder(m, live):
-            rows.append((m, len(live)))
-            return evaluate(m, live)
-        return ladder(recorder, *args, **kwargs)
-
-    monkeypatch.setattr(radial, "node_ladder", spy)
-    assert_grid_is_one_point_grid(4096, *coarse_grid(4096, 1.0, 0))
-    batched = [entry for entry in rows if entry[1] > 1]
-    assert batched[:2] == [(128, 48), (256, 48)]
-    assert batched[2][0] == 512 and 0 < batched[2][1] < 48
-
-
-def test_batched_s_grid_raises_the_first_failing_s():
-    # at n = 7 the widened grid's large s do not settle (ROADMAP item 2); the
-    # error is the one the first of them raises alone, ladder included
-    assert assert_grid_is_one_point_grid(7, *coarse_grid(7, 1.5, 2)) is None
+@pytest.mark.parametrize("n", [64, 256, 1024, 4096, 16384, 65536])
+def test_optimize_s_beats_a_48_point_grid_on_its_bracket(n):
+    # optimize_s used to take the argmax of 48 equally spaced ln s on its
+    # bracket before golden section; golden section alone on the whole
+    # bracket lands at least as high on the scan box, within 1e-12 relative
+    for alpha in (0.75, 1.0, 1.25, 1.5):
+        r = alpha * n**0.25
+        lo, hi = first_bracket(n, r)
+        s_star = optimize_s(n, r)
+        assert lo < math.log(s_star) < hi
+        best = max(expected_gsa(n, r, math.exp(g)) for g in np.linspace(lo, hi, 48))
+        assert expected_gsa(n, r, float(s_star)) >= best * (1.0 - 1e-12), (n, alpha)
 
 
 def test_optimize_s_runs_one_ladder_for_its_grid(monkeypatch):
-    # one ladder for the 48 grid values and 30 for golden section; one
-    # ladder per grid value made it 80, and integrating golden section's
-    # final midpoint and s* made it 33
-    calls = []
-    ladder = radial.node_ladder
-
-    def spy(*args, **kwargs):
-        calls.append(kwargs.get("entries"))
-        return ladder(*args, **kwargs)
-
-    monkeypatch.setattr(radial, "node_ladder", spy)
-    optimize_s(4096, 4096**0.25)
-    assert len(calls) == 31
-    assert calls.count(48) == 1
-
-
-def test_scan_integrates_each_facet_count_once(monkeypatch):
-    # after the 48-point grid, the integrals a scan cell runs are the golden
-    # probes and then s* for the chain; integrating golden's final midpoint
-    # and s* inside optimize_s added two
-    probes, integrated = [], []
-    search, ladder = radial.golden_section_max, radial._influences_on_ladder
+    # no s grid is left: every node ladder optimize_s climbs is one golden
+    # probe's, with one entry; the 48-value grid climbed one more, with 48
+    probes, entries = [], []
+    search, ladder = radial.golden_section_max, radial.node_ladder
 
     def search_spy(f, lo, hi, **kwargs):
         def probe(x):
@@ -553,19 +483,50 @@ def test_scan_integrates_each_facet_count_once(monkeypatch):
             return f(x)
         return search(probe, lo, hi, **kwargs)
 
-    def ladder_spy(n, r, lo, hi, s_values):
-        integrated.append(list(s_values))
-        return ladder(n, r, lo, hi, s_values)
+    def ladder_spy(*args, **kwargs):
+        entries.append(kwargs["entries"])
+        return ladder(*args, **kwargs)
 
     monkeypatch.setattr(radial, "golden_section_max", search_spy)
-    monkeypatch.setattr(radial, "_influences_on_ladder", ladder_spy)
+    monkeypatch.setattr(radial, "node_ladder", ladder_spy)
+    optimize_s(4096, 4096**0.25)
+    assert len(probes) > 30
+    assert entries == [1] * len(probes)
+
+
+def test_scan_integrates_each_facet_count_once(monkeypatch):
+    # the integrals a scan cell runs are the golden probes and then s* for
+    # the chain, each on a one-entry ladder; integrating golden's final
+    # midpoint and s* inside optimize_s added two
+    probes, integrated, entries = [], [], []
+    search, influence = radial.golden_section_max, radial.expected_influence_quadrature
+    ladder = radial.node_ladder
+
+    def search_spy(f, lo, hi, **kwargs):
+        def probe(x):
+            probes.append(x)
+            return f(x)
+        return search(probe, lo, hi, **kwargs)
+
+    def influence_spy(n, r, s, spec=None):
+        integrated.append(s)
+        return influence(n, r, s, spec)
+
+    def ladder_spy(*args, **kwargs):
+        entries.append(kwargs["entries"])
+        return ladder(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "golden_section_max", search_spy)
+    monkeypatch.setattr(radial, "expected_influence_quadrature", influence_spy)
+    monkeypatch.setattr(radial, "node_ladder", ladder_spy)
     (rep,) = scan_report([4096], [1.0])
-    assert len(integrated[0]) == radial._COARSE_GRID
-    assert integrated[1:] == [[math.exp(x)] for x in probes] + [[rep.s]]
-    assert integrated.count([rep.s]) == 1
+    assert integrated == [math.exp(x) for x in probes] + [rep.s]
+    assert integrated.count(rep.s) == 1
+    # the chain's one two-entry ladder is its ln F and ln P moments
+    assert entries == [1] * len(integrated) + [2]
 
 
-def test_facet_counts_past_the_double_range_raise_value_error():
+def test_facet_counts_past_the_double_range_raise_value_error(monkeypatch):
     # ln s_jensen is about 725 at (1e6, alpha = 1.2) and past any double at
     # n = 1e7, where ln P is -0.0 at every node; ln s is about 1130 at the
     # optimum of (1e6, alpha = 1.5); s would not fit in a double
@@ -573,18 +534,15 @@ def test_facet_counts_past_the_double_range_raise_value_error():
         lower_bound_chain(1_000_000, 1.2 * 1_000_000**0.25, 1.0)
     with pytest.raises(ValueError, match="ln P underflows.*beyond the double range"):
         lower_bound_chain(10_000_000, 10_000_000**0.25, 1.0)
+    # optimize_s checks its bracket's top before golden section integrates
+    monkeypatch.setattr(radial, "expected_influence_quadrature", None)
     with pytest.raises(ValueError, match=r"ln s = 11\d\d\.\d+ is beyond the double range"):
         optimize_s(1_000_000, 1.5 * 1_000_000**0.25)
-    with pytest.raises(ValueError, match="facet count must be >= 1"):
-        radial.expected_gsa_grid(64, 2.0, np.array([-0.5, 1.0]))
 
 
 @pytest.mark.parametrize("call, value", [
     (lambda: expected_influence_quadrature(64, 2.0, math.inf), "inf"),
     (lambda: expected_influence_quadrature(64, 2.0, math.nan), "nan"),
-    (lambda: radial.expected_gsa_grid(64, math.inf, np.array([1.0, 2.0])), "inf"),
-    (lambda: radial.expected_gsa_grid(64, math.nan, np.array([1.0, 2.0])), "nan"),
-    (lambda: radial.expected_gsa_grid(64, 2.0, np.array([1.0, math.nan])), "nan"),
     (lambda: optimize_s(64, math.inf), "inf"),
     (lambda: optimize_s(64, math.nan), "nan"),
 ])
@@ -593,30 +551,6 @@ def test_non_finite_s_and_r_raise_at_once(call, value):
     # infinite r left the facet-count optimum unbracketed
     with pytest.raises(ValueError, match=rf"must be finite.*\b{value}$"):
         call()
-
-
-def test_gsa_grid_runs_the_one_point_input_checks():
-    # below n = 4 the grid used to return a value (n = 3) or climb to 524288
-    # nodes and raise a convergence error (n = 2); both now raise as the
-    # one-point call does
-    for n in (2, 3):
-        with pytest.raises(ValueError, match="radial reduction needs n >= 4"):
-            expected_influence_quadrature(n, 0.5, 2.0)
-        with pytest.raises(ValueError, match="radial reduction needs n >= 4"):
-            radial.expected_gsa_grid(n, 0.5, np.array([math.log(2.0)]))
-    for r in (0.0, -1.0):
-        with pytest.raises(ValueError, match="offset r must be > 0"):
-            expected_influence_quadrature(64, r, 2.0)
-        with pytest.raises(ValueError, match="offset r must be > 0"):
-            radial.expected_gsa_grid(64, r, np.array([1.0]))
-
-
-def test_empty_gsa_grid_is_an_empty_array():
-    for empty in ([], np.array([])):
-        got = radial.expected_gsa_grid(64, 2.0, empty)
-        assert isinstance(got, np.ndarray) and got.shape == (0,)
-    with pytest.raises(ValueError, match="n >= 4"):
-        radial.expected_gsa_grid(3, 2.0, [])
 
 
 def test_influence_at_infinite_offset_is_the_whole_space_limit():

@@ -14,6 +14,11 @@ def test_pdf_values():
     assert specfun.gaussian_pdf(1.0) == pytest.approx(0.2419707245191434, abs=1e-12)
 
 
+def test_pdf_of_a_huge_numpy_offset_is_zero_without_warning():
+    # x * x overflows: an np.float64 warns there, a Python float is inf
+    assert specfun.gaussian_pdf(np.float64(1e300)) == 0.0
+
+
 @given(st.floats(min_value=-30, max_value=30))
 def test_pdf_symmetry(x):
     assert specfun.gaussian_pdf(-x) == specfun.gaussian_pdf(x)

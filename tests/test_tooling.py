@@ -3,12 +3,15 @@ benchmark's hook targets."""
 
 import ast
 import importlib.util
+import itertools
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import gsalab
+from gsalab import cli
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 SRC = Path(gsalab.__file__).resolve().parent
@@ -72,19 +75,25 @@ def test_every_public_definition_has_a_caller_in_the_package():
     assert unused == []
 
 
-TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+TRACING = BENCHMARKS / "tracing.py"
 # The hook on grid_then_golden_min targets a function the chain no longer
 # has; ROADMAP item 1 removes it from the benchmark.
 STALE_HOOKS = {("gsalab.radial", "grid_then_golden_min")}
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_benchmark_hook_target_resolves():
     # the benchmark's tracer skips an absent hook target, so a rename in the
     # package would silently drop a per-layer metric; read HOOKS without
     # installing any of them
-    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load("benchmark_tracing", TRACING)
     missing = []
     for _, module_name, path, _ in tracing.HOOKS:
         if (module_name, path) in STALE_HOOKS:
@@ -95,3 +104,16 @@ def test_every_benchmark_hook_target_resolves():
         if owner is None:
             missing.append(f"{module_name}.{path}")
     assert missing == []
+
+
+def test_benchmark_oracles_pass_on_the_first_ops_of_each_workload(tmp_path):
+    # the benchmark checks every op's report against an oracle that calls the
+    # package (the scan oracle integrates by the adaptive rule); a change that
+    # breaks that route would otherwise only show as a failed benchmark run
+    workloads = _load("benchmark_workloads", BENCHMARKS / "workloads.py")
+    for name in workloads.NAMES:
+        for op, argv in enumerate(itertools.islice(workloads.ops(name, 101), 2)):
+            report = tmp_path / f"{name}-{op}.json"
+            assert cli.main(argv + ["--json", str(report)]) == 0, argv
+            doc = json.loads(report.read_text())
+            assert workloads.check(name, argv, doc) == [], argv
