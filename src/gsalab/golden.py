@@ -5,15 +5,16 @@ from __future__ import annotations
 import math
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_ITER = 400  # a safety stop well beyond what any representable tolerance needs
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 400):
-    """Maximize a unimodal f on [lo, hi]; returns the argmax.
+def golden_section_max(f, lo: float, hi: float, tol: float):
+    """Maximize a unimodal f on [lo, hi] to a bracket of width tol; returns the argmax.
 
     The argmax is the midpoint of the final bracket, where f is not
     evaluated: callers that need f there evaluate it once themselves.  The
-    bracket shrinks by the golden ratio each step, so max_iter is a
-    safety stop well beyond what any representable tolerance needs.
+    bracket shrinks by the golden ratio each step; a bracket still wider
+    than tol after _MAX_ITER steps raises RuntimeError.
     """
     if not hi > lo:
         raise ValueError(f"invalid bracket [{lo}, {hi}]")
@@ -21,7 +22,7 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-10, max_iter: in
     c = b - INV_PHI * (b - a)
     d = a + INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if b - a <= tol:
             break
         if fc > fd:

@@ -7,8 +7,11 @@ import numpy as np
 
 PANEL_ORDER = 16
 _PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(PANEL_ORDER)
-_GIVE_UP_TOL = 1e-6
-_MAX_DOUBLINGS = 14
+# the one node-doubling policy of every fixed-rule integral (see node_ladder)
+NODES = 128
+REL_TOL = 1e-8
+GIVE_UP_TOL = 1e-6
+MAX_DOUBLINGS = 12
 _ADAPTIVE_PANELS = 8
 _ADAPTIVE_DEPTH = 48
 _ADAPTIVE_BUDGET = 4096  # panels in one call of f; an f that never settles doubles them
@@ -46,59 +49,42 @@ def composite_nodes(lo: float, hi: float, nodes: int):
     return x.ravel(), w.ravel()
 
 
-def node_ladder(evaluate, nodes, settled, tol, give_up_tol, max_doublings, what, entries):
-    """Evaluate a rule of `entries` values at nodes, 2 nodes, 4 nodes, ...
-    until each value stabilizes.
+def node_ladder(evaluate, settled, what):
+    """Evaluate a rule at NODES, 2 NODES, 4 NODES, ... nodes until it stabilizes.
 
-    evaluate(m, live) returns the rule's values with m nodes for the entries
-    listed in live, in that order; settled(prev, val, tol) says whether one
-    doubling step moved a value by at most tol, in the caller's own measure.
-    Each entry freezes at its own first settled step and leaves live, so its
-    value and ladder are what it gets alone.  If the budget of max_doublings
-    runs out, the last values are still returned when their steps settle
-    within give_up_tol; otherwise the first entry in order that misses it is
-    raised, named by what(i), with its (nodes, value) ladder attached rather
-    than returned silently.  Returns a list of `entries` values.
+    evaluate(m) returns the rule's value with m nodes; settled(prev, val, tol)
+    says whether one doubling step moved the value by at most tol, in the
+    caller's own measure.  The first step within REL_TOL ends the ladder.  If
+    MAX_DOUBLINGS doublings run out, the last value is still returned when
+    its step settles within GIVE_UP_TOL; otherwise the failure is raised,
+    named by what(), with the (nodes, value) ladder attached rather than
+    returned silently.
     """
-    ladders = [[] for _ in range(entries)]
-    live = list(range(entries))
-    for k in range(max_doublings + 1):
-        m = nodes << k
-        moving = []
-        for i, val in zip(live, evaluate(m, live)):
-            ladder = ladders[i]
-            ladder.append((m, val))
-            if not (k and settled(ladder[-2][1], val, tol)):
-                moving.append(i)
-        live = moving
-        if not live:
-            break
-    else:
-        for i in live:
-            (_, prev), (_, last) = ladders[i][-2:]
-            if not settled(prev, last, give_up_tol):
-                raise QuadratureConvergenceError(
-                    f"{what(i)} did not stabilize: node ladder {ladders[i]}", history=ladders[i])
-    return [ladder[-1][1] for ladder in ladders]
+    ladder = []
+    for k in range(MAX_DOUBLINGS + 1):
+        m = NODES << k
+        val = evaluate(m)
+        ladder.append((m, val))
+        if k and settled(ladder[-2][1], val, REL_TOL):
+            return val
+    if not settled(ladder[-2][1], val, GIVE_UP_TOL):
+        raise QuadratureConvergenceError(
+            f"{what()} did not stabilize: node ladder {ladder}", history=ladder)
+    return val
 
 
 def _relative_step(prev, val, tol):
     return abs(val - prev) <= tol * max(abs(val), abs(prev), 1e-300)
 
 
-def integrate_doubling(f, lo, hi, nodes=128, rel_tol=1e-8):
-    """Integrate a vectorized f on [lo, hi], doubling nodes until stable.
-
-    Convergence means successive values agree to rel_tol; if 14 doublings
-    still leave them more than 1e-6 apart (relative) the computation is
-    reported as failed rather than returned silently.
-    """
-    def evaluate(m, live):
+def integrate_doubling(f, lo, hi):
+    """Integrate a vectorized f on [lo, hi] on the node ladder, each doubling
+    step measured relative to the value (budget and tolerances: node_ladder)."""
+    def evaluate(m):
         x, w = composite_nodes(lo, hi, m)
-        return [float(np.dot(w, f(x)))]
+        return float(np.dot(w, f(x)))
 
-    return node_ladder(evaluate, nodes, _relative_step, rel_tol, _GIVE_UP_TOL,
-                       _MAX_DOUBLINGS, lambda i: f"integral on [{lo}, {hi}]", 1)[0]
+    return node_ladder(evaluate, _relative_step, lambda: f"integral on [{lo}, {hi}]")
 
 
 def adaptive_quad(f, lo, hi, abs_tol=1e-12):

@@ -13,9 +13,9 @@ facet count that maximizes it, and the constant c1, read at its closed-form
 stationary point, where the objective is e^(-5/4).  The facet count s_star
 that maximizes E[GSA] is found by golden section on ln s alone, each probe
 one integral on the node tables cached for its (n, r).
-Windows, node counts and every tolerance follow from n alone; a
-QuadratureSpec only switches the influence integral to the adaptive rule
-that serves as its independent check.
+Windows follow from n alone, node counts and every tolerance from quadrature's
+one node-doubling policy; a QuadratureSpec only switches the influence
+integral to the adaptive rule that serves as its independent check.
 
 e^(-5/4) is the alpha = 1 limit of the Jensen bound: with
 rho = sqrt(n) + g, g ~ N(0, 1/2), Jensen's inequality gives
@@ -33,6 +33,7 @@ g ~ N(0, 1/2) (L(1) = 0.30127), from above at a rate of order n^(-1/2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,10 +45,6 @@ from .golden import golden_section_max
 from .quadrature import _relative_step, composite_nodes, integrate_doubling, node_ladder
 from .specfun import SQRT_2PI, chi_log_density, log1mexp, log_tau_n
 
-_NODES = 128
-_REL_TOL = 1e-8
-_GIVE_UP_TOL = 1e-6
-_MAX_DOUBLINGS = 12
 _TABLES_KEPT = 16  # one node table per rung of a full ladder: 128 << 0..12
 _CHAIN_SLACK = 1e-10
 _LOG_UNDERFLOW = -746.0  # math.exp is exactly 0.0 below this
@@ -171,12 +168,15 @@ def expected_influence_quadrature(n: int, r: float, s: float,
     double range (about e^-746) the value is 0.0 and no ladder runs.  F
     vanishes identically below rho = r, so integration starts at
     max(window_lo, r) and the clamp kink never sits inside a panel.  r = inf
-    is the whole-space limit, 0.0; a non-finite s raises ValueError.
+    is the whole-space limit, 0.0; a subnormal r, where r / rho loses digits,
+    and a non-finite s raise ValueError.
     """
     if n < 4:
         raise ValueError(f"radial reduction needs n >= 4, got {n}")
     if not r > 0.0:
         raise ValueError(f"offset r must be > 0, got {r}")
+    if r < sys.float_info.min:
+        raise ValueError(f"offset r = {r} is subnormal: r / rho would lose digits")
     if not 1.0 <= s < math.inf:
         raise ValueError(f"facet count must be finite and >= 1, got {s}")
     if spec is None:
@@ -201,16 +201,14 @@ def expected_influence_quadrature(n: int, r: float, s: float,
     if log_bound < _LOG_UNDERFLOW:
         return 0.0
 
-    def log_value(nodes, live):
+    def log_value(nodes):
         base, log_p = _node_table(n, r, lo, hi, nodes)
-        return [_logsumexp(base + log_s + (s - 1.0) * log_p)]
+        return _logsumexp(base + log_s + (s - 1.0) * log_p)
 
-    def what(i):
+    def what():
         return f"influence quadrature (log values) at (n={n}, r={r}, s={s})"
 
-    (value,) = node_ladder(log_value, _NODES, _log_step_settled, _REL_TOL, _GIVE_UP_TOL,
-                           _MAX_DOUBLINGS, what, entries=1)
-    return math.exp(value)
+    return math.exp(node_ladder(log_value, _log_step_settled, what))
 
 
 def expected_gsa(n: int, r: float, s: float,
@@ -295,8 +293,8 @@ def lower_bound_chain(n: int, r: float, s: float) -> LowerBoundReport:
     whose mass is m_W.  W is the exact integral's window moved one unit clear
     of rho = r, where ln F tends to -inf; wherever the two coincide, the
     ln P node tables the bound reads are the ones the exact integral built.
-    The log-moments integral_W chi_n ln F and integral_W chi_n ln P climb one
-    node ladder as two entries, each settled to 1e-8 relative.  The bound is
+    The log-moments integral_W chi_n ln F and integral_W chi_n ln P each climb
+    their own node ladder, settled to 1e-8 relative.  The bound is
     largest at s_jensen = -m_W / integral_W chi_n ln P.  At s = 1 the
     (s - 1) term is exactly 0.  A bound above the exact value beyond 1e-10
     relative slack raises ChainViolationError; an empty W, or an s_jensen
@@ -307,20 +305,18 @@ def lower_bound_chain(n: int, r: float, s: float) -> LowerBoundReport:
     lo, hi = max(spec.rho_lo, r + 1.0), spec.rho_hi
     if not lo < hi:
         raise ValueError(f"Jensen window empty at (n={n}, r={r}): r + 1 >= sqrt(n) + 12")
-    mass = integrate_doubling(
-        lambda x: np.exp(chi_log_density(n, x)), lo, hi, nodes=_NODES, rel_tol=_REL_TOL)
+    mass = integrate_doubling(lambda x: np.exp(chi_log_density(n, x)), lo, hi)
 
-    def log_moments(nodes, live):
-        x, w = composite_nodes(lo, hi, nodes)
-        chi_w = w * np.exp(chi_log_density(n, x))
-        logs = (log_F_dilation(n, r, x), _node_table(n, r, lo, hi, nodes)[1])
-        return [float(np.dot(chi_w, logs[i])) for i in live]
+    def moment(name, log_term):
+        def evaluate(nodes):
+            x, w = composite_nodes(lo, hi, nodes)
+            return float(np.dot(w * np.exp(chi_log_density(n, x)), log_term(x, nodes)))
 
-    def what(i):
-        return f"Jensen {('ln F', 'ln P')[i]} moment at (n={n}, r={r})"
+        return node_ladder(evaluate, _relative_step,
+                           lambda: f"Jensen {name} moment at (n={n}, r={r})")
 
-    int_log_f, int_log_p = node_ladder(log_moments, _NODES, _relative_step, _REL_TOL,
-                                       _GIVE_UP_TOL, _MAX_DOUBLINGS, what, entries=2)
+    int_log_f = moment("ln F", lambda x, nodes: log_F_dilation(n, r, x))
+    int_log_p = moment("ln P", lambda x, nodes: _node_table(n, r, lo, hi, nodes)[1])
     if int_log_p == 0.0:
         raise ValueError(f"Jensen facet count at (n={n}, r={r}): ln P underflows to 0 on "
                          f"the whole window, so ln s is beyond the double range "

@@ -7,6 +7,7 @@ from scipy.stats import chi as chi_dist
 
 from gsalab import bounds, estimators, specfun
 from gsalab.polytope import Ball
+from gsalab.quadrature import integrate_doubling
 
 from oracles import ball_influence_quadrature
 
@@ -56,12 +57,10 @@ def test_gsa_ball_influence_identity():
 
 
 def test_ball_influence_quadrature_against_scipy():
-    from scipy.integrate import quad
-
+    # the node ladder on the ball integrand against the scipy.integrate oracle
     for n, R in ((4, 1.0), (7, 2.0)):
-        ref, _ = quad(lambda rho: chi_dist.pdf(rho, n) * (n - rho**2), 0.0, R,
-                      epsabs=1e-12, epsrel=1e-12)
-        assert ball_influence_quadrature(n, R) == pytest.approx(ref, abs=1e-9)
+        got = integrate_doubling(lambda rho: chi_dist.pdf(rho, n) * (n - rho**2), 0.0, R)
+        assert got == pytest.approx(ball_influence_quadrature(n, R), abs=1e-9)
 
 
 def test_final_var_holds_for_balls():

@@ -251,6 +251,16 @@ def test_facet_count_past_the_double_range_is_a_clear_error(argv, capsys):
     assert err.startswith("error: ") and "ln s = " in err and "double range" in err
 
 
+@pytest.mark.parametrize("argv", [["quad", "--n", "64", "--r", "1e-320", "--s", "2"],
+                                  ["optimize", "--n", "64", "--r", "1e-320"],
+                                  ["scan", "--n", "64", "--alpha", "1e-320"]])
+def test_subnormal_offset_is_a_clear_error(argv, capsys):
+    # quad printed a GSA off by 5.7e-4 relative at r = 1e-320
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: offset r = ") and "is subnormal" in err
+
+
 @pytest.mark.parametrize("norm, r", [("1", "1e-320"), ("1e300", "1e-10")])
 def test_cap_bound_past_the_double_range_exits_one_naming_ln_g(norm, r, tmp_path, capsys):
     # these printed 'error: math range error' from a bare OverflowError

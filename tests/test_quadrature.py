@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gsalab import quadrature
+from gsalab import golden, quadrature, radial
 from gsalab.golden import INV_PHI, golden_section_max
 from gsalab.quadrature import (QuadratureConvergenceError, adaptive_quad,
                                composite_nodes, integrate_doubling, node_ladder)
@@ -41,8 +41,23 @@ def test_integrate_doubling_reports_failure():
         return state.standard_normal(x.shape)
 
     with pytest.raises(QuadratureConvergenceError) as err:
-        integrate_doubling(noisy, 0.0, 1.0, nodes=16)
+        integrate_doubling(noisy, 0.0, 1.0)
     assert err.value.history
+
+
+def test_one_doubling_budget_for_every_ladder(monkeypatch):
+    # the budget is quadrature's alone: cutting it to 3 doublings ends both a
+    # plain integral and the radial influence ladder at NODES << 3
+    monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 3)
+    rungs = [quadrature.NODES << k for k in range(4)]
+    state = np.random.default_rng(0)
+    with pytest.raises(QuadratureConvergenceError) as err:
+        integrate_doubling(lambda x: state.standard_normal(x.shape), 0.0, 1.0)
+    assert [m for m, _ in err.value.history] == rungs
+    # the log value of this cell keeps moving by far more than GIVE_UP_TOL
+    with pytest.raises(QuadratureConvergenceError) as err:
+        radial.expected_influence_quadrature(64, 64**0.25, 1e300)
+    assert [m for m, _ in err.value.history] == rungs
 
 
 def test_adaptive_quad_gaussian_mass():
@@ -107,7 +122,7 @@ def test_golden_section_min_cos():
 
 def test_golden_rejects_bad_bracket():
     with pytest.raises(ValueError):
-        golden_section_max(lambda c: c, 1.0, 1.0)
+        golden_section_max(lambda c: c, 1.0, 1.0, tol=1e-6)
 
 
 def test_golden_evaluates_only_its_probes():
@@ -125,68 +140,28 @@ def test_golden_evaluates_only_its_probes():
     assert x not in probes
 
 
-def test_node_ladder_budget_and_give_up():
-    # 1/m moves by 1/(2m) per doubling: never within 1e-9 in four doublings,
-    # so the ladder ends at m = 256 and the give-up tolerance decides
+def test_node_ladder_budget_and_give_up(monkeypatch):
+    # 1/m moves by 1/(2m) per doubling: never within REL_TOL in four
+    # doublings, so the ladder ends at m = 16 << 4 = 256 and the give-up
+    # tolerance decides
+    monkeypatch.setattr(quadrature, "NODES", 16)
+    monkeypatch.setattr(quadrature, "REL_TOL", 1e-9)
+    monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 4)
+
     def settled(prev, val, tol):
         return abs(val - prev) <= tol
 
     def ladder(give_up_tol):
-        return node_ladder(lambda m, live: [1.0 / m], 16, settled, 1e-9, give_up_tol, 4,
-                           lambda i: "1/m", 1)
+        monkeypatch.setattr(quadrature, "GIVE_UP_TOL", give_up_tol)
+        return node_ladder(lambda m: 1.0 / m, settled, lambda: "1/m")
 
-    assert ladder(1e-2) == [1.0 / 256]
+    assert ladder(1e-2) == 1.0 / 256
     with pytest.raises(QuadratureConvergenceError, match="1/m did not stabilize") as err:
         ladder(1e-3)
     assert err.value.history == [(m, 1.0 / m) for m in (16, 32, 64, 128, 256)]
 
 
-def test_node_ladder_entries_settle_one_by_one():
-    # entry i moves by 2^-(i + 2) / m per doubling; each freezes at its own
-    # first settled step, with the value and ladder it gets as a one-entry rule
-    def settled(prev, val, tol):
-        return abs(val - prev) <= tol
-
-    def rule(i, m):
-        return 2.0**-(i + 1) / m
-
-    seen = []
-
-    def evaluate(m, live):
-        seen.append((m, list(live)))
-        return [rule(i, m) for i in live]
-
-    def name(i):
-        return "rule"
-
-    got = node_ladder(evaluate, 16, settled, 2e-3, 1e-9, 6, name, 3)
-    alone = [node_ladder(lambda m, live, i=i: [rule(i, m)], 16, settled, 2e-3, 1e-9, 6,
-                         name, 1)[0]
-             for i in range(3)]
-    assert got == alone
-    assert seen == [(16, [0, 1, 2]), (32, [0, 1, 2]), (64, [0, 1, 2]), (128, [0, 1]),
-                    (256, [0])]
-
-
-def test_node_ladder_entries_raise_the_first_failure():
-    # entries 1 and 2 never settle; the error is entry 1's, as its one-entry
-    # rule raises it
-    def settled(prev, val, tol):
-        return abs(val - prev) <= tol
-
-    def rule(i, m):
-        return 0.0 if i == 0 else i / m
-
-    with pytest.raises(QuadratureConvergenceError) as alone:
-        node_ladder(lambda m, live: [rule(1, m)], 16, settled, 1e-9, 1e-9, 4,
-                    lambda i: "entry 1", 1)
-    with pytest.raises(QuadratureConvergenceError) as batched:
-        node_ladder(lambda m, live: [rule(i, m) for i in live], 16, settled, 1e-9, 1e-9,
-                    4, lambda i: f"entry {i}", 3)
-    assert str(batched.value) == str(alone.value)
-    assert batched.value.history == alone.value.history
-
-
-def test_lookahead_golden_raises_when_max_iter_runs_out():
+def test_golden_raises_when_its_iterations_run_out(monkeypatch):
+    monkeypatch.setattr(golden, "_MAX_ITER", 9)
     with pytest.raises(RuntimeError, match="failed to shrink"):
-        golden_section_max(lambda t: -(t - 0.3) ** 2, 0.0, 1.0, tol=1e-12, max_iter=9)
+        golden_section_max(lambda t: -(t - 0.3) ** 2, 0.0, 1.0, tol=1e-12)

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtr
 
 from gsalab import estimators, golden, polytope, radial, specfun
 from gsalab.cap import log_complement_upper_from_ratio
 from gsalab.polytope import NazParams
-from gsalab.quadrature import QuadratureConvergenceError, integrate_doubling
+from gsalab.quadrature import QuadratureConvergenceError
 from gsalab.radial import (ChainViolationError, QuadratureSpec, expected_gsa,
                            expected_influence_quadrature, lower_bound_chain, optimal_c1,
                            optimize_s, scan_report)
@@ -53,6 +54,19 @@ def test_influence_quadrature_validation():
             expected_influence_quadrature(64, r, 2.0)
     with pytest.raises(ValueError):
         expected_influence_quadrature(16, 1.0, 0.5)
+
+
+def test_subnormal_offset_raises_value_error():
+    # below the smallest normal double r / rho is subnormal and ln F loses
+    # digits: at n = 64, s = 1, E[GSA] / phi(r) - 1 read -5.7e-4 at
+    # r = 1e-320, and at r = 5e-324 r / rho rounded to 0 and a log warned
+    # of a division by zero
+    for r in (1e-320, 5e-324):
+        with pytest.raises(ValueError, match=f"offset r = {r} is subnormal"):
+            expected_influence_quadrature(64, r, 1.0)
+    # one facet reads phi(r) down to the smallest normal offsets
+    assert expected_gsa(64, 1e-300, 1.0) == pytest.approx(
+        specfun.gaussian_pdf(1e-300), rel=1e-13)
 
 
 def test_influence_spike_below_the_first_nodes_is_still_resolved():
@@ -248,8 +262,7 @@ def naz_prime_influence(n, w, s):
         log_surv = s * log_ndtr(w / rho)
         return np.exp(specfun.chi_log_density(n, rho) + log_surv) * (n - rho**2)
 
-    return integrate_doubling(integrand, max(spec.rho_lo, 1e-9), spec.rho_hi,
-                              nodes=128, rel_tol=1e-10)
+    return quad(integrand, max(spec.rho_lo, 1e-9), spec.rho_hi, epsabs=0.0, epsrel=1e-10)[0]
 
 
 def test_naz_prime_expected_influence_scales_like_sqrt_n():
@@ -369,11 +382,11 @@ def test_chain_is_below_the_exact_value_within_512_nodes(n, alpha, s):
     rungs = []
     ladder = radial.node_ladder
 
-    def spy(evaluate, *args, **kwargs):
-        def recorder(m, live):
+    def spy(evaluate, settled, what):
+        def recorder(m):
             rungs.append(m)
-            return evaluate(m, live)
-        return ladder(recorder if kwargs["entries"] == 2 else evaluate, *args, **kwargs)
+            return evaluate(m)
+        return ladder(recorder if "moment" in what() else evaluate, settled, what)
 
     r = alpha * n**0.25
     try:
@@ -473,8 +486,8 @@ def test_optimize_s_beats_a_48_point_grid_on_its_bracket(n):
 
 def test_optimize_s_runs_one_ladder_for_its_grid(monkeypatch):
     # no s grid is left: every node ladder optimize_s climbs is one golden
-    # probe's, with one entry; the 48-value grid climbed one more, with 48
-    probes, entries = [], []
+    # probe's influence integral; the 48-value grid climbed one more
+    probes, ladders = [], []
     search, ladder = radial.golden_section_max, radial.node_ladder
 
     def search_spy(f, lo, hi, **kwargs):
@@ -483,22 +496,22 @@ def test_optimize_s_runs_one_ladder_for_its_grid(monkeypatch):
             return f(x)
         return search(probe, lo, hi, **kwargs)
 
-    def ladder_spy(*args, **kwargs):
-        entries.append(kwargs["entries"])
-        return ladder(*args, **kwargs)
+    def ladder_spy(evaluate, settled, what):
+        ladders.append(what().split(" at ")[0])
+        return ladder(evaluate, settled, what)
 
     monkeypatch.setattr(radial, "golden_section_max", search_spy)
     monkeypatch.setattr(radial, "node_ladder", ladder_spy)
     optimize_s(4096, 4096**0.25)
     assert len(probes) > 30
-    assert entries == [1] * len(probes)
+    assert ladders == ["influence quadrature (log values)"] * len(probes)
 
 
 def test_scan_integrates_each_facet_count_once(monkeypatch):
     # the integrals a scan cell runs are the golden probes and then s* for
-    # the chain, each on a one-entry ladder; integrating golden's final
-    # midpoint and s* inside optimize_s added two
-    probes, integrated, entries = [], [], []
+    # the chain, each on its own ladder; integrating golden's final midpoint
+    # and s* inside optimize_s added two
+    probes, integrated, ladders = [], [], []
     search, influence = radial.golden_section_max, radial.expected_influence_quadrature
     ladder = radial.node_ladder
 
@@ -512,9 +525,9 @@ def test_scan_integrates_each_facet_count_once(monkeypatch):
         integrated.append(s)
         return influence(n, r, s, spec)
 
-    def ladder_spy(*args, **kwargs):
-        entries.append(kwargs["entries"])
-        return ladder(*args, **kwargs)
+    def ladder_spy(evaluate, settled, what):
+        ladders.append(what().split(" at ")[0])
+        return ladder(evaluate, settled, what)
 
     monkeypatch.setattr(radial, "golden_section_max", search_spy)
     monkeypatch.setattr(radial, "expected_influence_quadrature", influence_spy)
@@ -522,8 +535,9 @@ def test_scan_integrates_each_facet_count_once(monkeypatch):
     (rep,) = scan_report([4096], [1.0])
     assert integrated == [math.exp(x) for x in probes] + [rep.s]
     assert integrated.count(rep.s) == 1
-    # the chain's one two-entry ladder is its ln F and ln P moments
-    assert entries == [1] * len(integrated) + [2]
+    # then the chain's two moment ladders, ln F before ln P
+    assert ladders == (["influence quadrature (log values)"] * len(integrated)
+                       + ["Jensen ln F moment", "Jensen ln P moment"])
 
 
 def test_facet_counts_past_the_double_range_raise_value_error(monkeypatch):
