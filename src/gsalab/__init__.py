@@ -3,8 +3,7 @@
 Exact spherical-cap measures, convex-influence identities, random halfspace
 polytopes, Monte Carlo estimators with standard errors, and the radial
 quadrature pipeline with its finite-n log-average (Jensen) lower bound over
-the chi_n law.  The constant c1 is read at its closed-form stationary point,
-where the objective is e^(-5/4), the large-n alpha = 1 value of that bound.
+the chi_n law.
 """
 
 from .bounds import ball_upper, final_deg2_upper, final_var_upper, nazarov_lower, raic_upper
@@ -15,8 +14,8 @@ from .estimators import (Estimate, estimate_gsa_facets, estimate_hermite_coeffic
                          influence_from_hermite_estimates)
 from .polytope import Ball, HalfspacePolytope, NazParams, sample_naz
 from .radial import (ChainViolationError, LowerBoundReport, QuadratureSpec, expected_gsa,
-                     expected_influence_quadrature, lower_bound_chain, optimal_c1,
-                     optimize_s, scan_report)
+                     expected_influence_quadrature, lower_bound_chain, optimize_s,
+                     scan_report)
 from .specfun import chi_log_density, gaussian_pdf, log_gamma, tau_n
 
 __version__ = "0.1.0"

@@ -1,12 +1,12 @@
 """Command-line front end: one subcommand per computation, reproducible output.
 
-Every run records its seed and emits either human-readable lines, a JSON
-document (one object per run with a `rows` array, validating against
-schemas/report.schema.json), or RFC-4180 CSV.  Exit codes: 0 success,
-1 validation error or a value outside the double range (ArithmeticError),
-2 numerical non-convergence, 3 invariant violation found by selftest.  On
-exit code 2 the JSON document has no rows and an `error` object instead,
-and the same params a success records.
+Every Monte Carlo run records its seed; a deterministic one records null.
+A run emits either human-readable lines, a JSON document (one object per
+run with a `rows` array, validating against schemas/report.schema.json), or
+RFC-4180 CSV.  Exit codes: 0 success, 1 validation error or a value outside
+the double range (ArithmeticError), 2 numerical non-convergence, 3 invariant
+violation found by selftest.  On exit code 2 the JSON document has no rows
+and an `error` object instead, and the same params a success records.
 Every JSON document is strict: a non-finite number is written as null, and
 in CSV as an empty cell.
 """
@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds, cap, estimators, hermite, polytope, radial, specfun
 from .quadrature import QuadratureConvergenceError
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _row(name, value, stderr=None, samples=None, seed=None):
@@ -148,7 +148,7 @@ def _svg_chart(path, reports):
 
 
 def _cap_params(args):
-    return {"n": args.n, "norm": args.norm, "r": args.r, "seed": args.seed}
+    return {"n": args.n, "norm": args.norm, "r": args.r}
 
 
 def _cmd_cap(args, params):
@@ -216,7 +216,7 @@ def _cmd_gsa(args, params):
 
 def _quad_params(args):
     r = args.r if args.r is not None else args.alpha * args.n**0.25
-    return {"n": args.n, "r": r, "alpha": r / args.n**0.25, "s": args.s, "seed": args.seed}
+    return {"n": args.n, "r": r, "alpha": r / args.n**0.25, "s": args.s}
 
 
 def _cmd_quad(args, params):
@@ -233,37 +233,27 @@ def _cmd_quad(args, params):
 
 
 def _optimize_params(args):
-    if args.n is None:
-        if args.r is not None:
-            raise ValueError("--r needs --n: the offset only sets the facet-count rows")
-        return {"n": None, "seed": args.seed}
-    r = args.r if args.r is not None else args.n**0.25
-    return {"n": args.n, "r": r, "seed": args.seed}
+    return {"n": args.n, "r": args.r if args.r is not None else args.n**0.25}
 
 
 def _cmd_optimize(args, params):
-    c1_star, limit_value = radial.optimal_c1()
+    r = params["r"]
+    s_star = radial.optimize_s(args.n, r)
+    chain = radial.lower_bound_chain(args.n, r, float(s_star))
+    gsa = chain.exact_quadrature / r
     rows = [
-        _row("optimal-c1", c1_star),
-        _row("limit-constant", limit_value),
+        _row("limit-constant", bounds.E_M54),
+        _row("facet-count-rule", max(1, round(chain.s_jensen))),
+        _row("facet-count-optimal", s_star),
+        _row("expected-gsa-at-optimal-s", gsa),
+        _row("ratio-to-n14", gsa / args.n**0.25),
     ]
-    if args.n is not None:
-        r = params["r"]
-        s_star = radial.optimize_s(args.n, r)
-        chain = radial.lower_bound_chain(args.n, r, float(s_star))
-        gsa = chain.exact_quadrature / r
-        rows.extend([
-            _row("facet-count-rule", max(1, round(chain.s_jensen))),
-            _row("facet-count-optimal", s_star),
-            _row("expected-gsa-at-optimal-s", gsa),
-            _row("ratio-to-n14", gsa / args.n**0.25),
-        ])
     _emit(args, params, rows)
 
 
 def _scan_params(args):
     return {"n": [int(v) for v in args.n.split(",")],
-            "alpha": [float(v) for v in args.alpha.split(",")], "seed": args.seed}
+            "alpha": [float(v) for v in args.alpha.split(",")]}
 
 
 def _cmd_scan(args, params):
@@ -281,7 +271,6 @@ def _cmd_scan(args, params):
             "raic_upper": bounds.raic_upper(rep.n),
             "ball_upper": bounds.ball_upper(rep.n),
             "nazarov_lower": bounds.nazarov_lower(rep.n),
-            "seed": args.seed,
         })
     _emit(args, params, rows)
     if args.svg:
@@ -333,11 +322,6 @@ def _selftest_checks():
         rhs = 16 - (points**2).sum(axis=1)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
-    def c1_closed_form():
-        c_star, value = radial.optimal_c1()
-        assert abs(c_star - math.sqrt(2.0 * math.pi) * math.exp(-0.25)) <= 1e-8
-        assert abs(value - math.exp(-1.25)) <= 1e-9
-
     def chain_dominance():
         for n, r, s in ((64, 64**0.25, 200.0),
                         (256, 4.0, float(radial.optimize_s(256, 4.0)))):
@@ -357,14 +341,9 @@ def _selftest_checks():
         ("chi-normalization", chi_normalization),
         ("single-halfspace-identity", single_halfspace_identity),
         ("h2-bridge-identity", h2_bridge),
-        ("c1-closed-form", c1_closed_form),
         ("chain-dominance", chain_dominance),
         ("polytope-invariants", polytope_invariants),
     ]
-
-
-def _selftest_params(args):
-    return {"seed": args.seed}
 
 
 def _cmd_selftest(args, params):
@@ -399,7 +378,6 @@ def build_parser():
     def add_output(p):
         p.add_argument("--json", metavar="PATH", help="write a JSON report document")
         p.add_argument("--csv", metavar="PATH", help="write rows as RFC-4180 CSV")
-        p.add_argument("--seed", type=int, default=0, help="seed recorded in output")
 
     p = sub.add_parser("cap", help="exact spherical-cap measure and bounds")
     p.add_argument("--n", type=int, required=True)
@@ -415,6 +393,7 @@ def build_parser():
     p.add_argument("--s", type=int, default=16, help="facet count for polytopes")
     p.add_argument("--radius", type=float, default=1.0, help="radius for --body ball")
     p.add_argument("--samples", type=int, default=20000)
+    p.add_argument("--seed", type=int, default=0, help="seed of the Monte Carlo streams")
     add_output(p)
     p.set_defaults(func=_cmd_influence, params=_influence_params)
 
@@ -424,6 +403,7 @@ def build_parser():
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--samples-per-facet", type=int, default=2000)
     p.add_argument("--samples", type=int, default=20000)
+    p.add_argument("--seed", type=int, default=0, help="seed of the Monte Carlo streams")
     add_output(p)
     p.set_defaults(func=_cmd_gsa, params=_gsa_params)
 
@@ -435,11 +415,11 @@ def build_parser():
     add_output(p)
     p.set_defaults(func=_cmd_quad, params=_quad_params)
 
-    p = sub.add_parser("optimize", help="read c1 at its stationary point, where the "
-                       "objective is e^(-5/4), the large-n alpha = 1 value of the "
-                       "log-average (Jensen) bound; with --n, tune s and give the s "
-                       "that maximizes the finite-n Jensen bound")
-    p.add_argument("--n", type=int, default=None)
+    p = sub.add_parser("optimize", help="tune s at dimension n and offset r (default "
+                       "n^(1/4)): the s that maximizes E[GSA] and the s that maximizes "
+                       "the finite-n Jensen bound, beside e^(-5/4), the large-n "
+                       "alpha = 1 value of the log-average (Jensen) bound")
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=float, default=None)
     add_output(p)
     p.set_defaults(func=_cmd_optimize, params=_optimize_params)
@@ -454,7 +434,7 @@ def build_parser():
     p = sub.add_parser("selftest", help="run the invariant suite; each check is a row "
                        "with value 1.0 (pass) or 0.0 (fail) and its seconds")
     add_output(p)
-    p.set_defaults(func=_cmd_selftest, params=_selftest_params)
+    p.set_defaults(func=_cmd_selftest, params=lambda args: {})
 
     return parser
 

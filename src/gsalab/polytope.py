@@ -4,8 +4,8 @@ One sampler draws both variants.  The primary one draws s uniform unit
 normals and puts every facet at common distance r from the origin; the
 variant draws raw Gaussian normals with a common raw offset w and stores them
 normalized, so both produce the same representation: unit normals plus
-per-facet offsets.  A polytope does not keep its seed: sample_naz is
-deterministic in (params, seed), and every report records the seed.
+per-facet offsets.  A polytope keeps neither its seed nor its variant:
+sample_naz is deterministic in (params, seed), and every report records both.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from . import rng
 
 UNIT_SPHERE = "unit-sphere-normals"
 GAUSSIAN = "gaussian-normals"
-FIXED = "fixed-normals"
 
 _UNIT_TOL = 1e-12
 # Point-facet products held at once by a membership test (2 MiB of float64);
@@ -41,6 +40,20 @@ def _satisfies_all(points: np.ndarray, normals: np.ndarray, offsets: np.ndarray)
         tile = slice(start, start + rows)
         np.all(points[tile] @ normals.T <= offsets, axis=1, out=mask[tile])
     return mask
+
+
+def _contains_one(body, x) -> bool:
+    """Membership test for one finite point of shape (n,).
+
+    A NaN or infinite coordinate raises ValueError instead of reading as
+    outside: in a polytope's product with its normals, inf * 0 is NaN.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (body.n,):
+        raise ValueError(f"point has shape {x.shape}, expected ({body.n},)")
+    if not np.isfinite(x).all():
+        raise ValueError(f"point must be finite, got {x.tolist()}")
+    return bool(body.contains_points(x[None])[0])
 
 
 @dataclass(frozen=True)
@@ -71,14 +84,13 @@ class NazParams:
 class HalfspacePolytope:
     """Intersection of halfspaces {x : x.normal_i <= offset_i}.
 
-    Normals are stored unit length for every variant; offsets are all
-    strictly positive, so the body always contains the origin.  Instances
-    are immutable and safe to share across threads.
+    Normals are stored unit length; offsets are all strictly positive, so
+    the body always contains the origin.  Instances are immutable and safe
+    to share across threads.
     """
 
     normals: np.ndarray
     offsets: np.ndarray
-    variant: str = FIXED
 
     def __post_init__(self):
         normals = np.asarray(self.normals, dtype=float)
@@ -92,8 +104,6 @@ class HalfspacePolytope:
         lengths = np.linalg.norm(normals, axis=1)
         if np.any(np.abs(lengths - 1.0) > _UNIT_TOL):
             raise ValueError("normals must be unit length")
-        if self.variant == UNIT_SPHERE and np.ptp(offsets) > _UNIT_TOL * offsets[0]:
-            raise ValueError("unit-sphere variant requires one common offset")
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
         self.normals.setflags(write=False)
@@ -107,18 +117,7 @@ class HalfspacePolytope:
     def num_facets(self) -> int:
         return self.normals.shape[0]
 
-    def contains(self, x) -> bool:
-        """Membership test for one finite point of shape (n,).
-
-        A NaN or infinite coordinate raises ValueError: in the product with
-        the normals, inf * 0 is NaN, which would read as outside.
-        """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.n},)")
-        if not np.isfinite(x).all():
-            raise ValueError(f"point must be finite, got {x.tolist()}")
-        return bool(self.contains_points(x[None])[0])
+    contains = _contains_one
 
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (m, n) array of finite points.
@@ -164,18 +163,7 @@ class Ball:
             raise ValueError(
                 f"radius {self.radius} is too large: its square is not a finite double")
 
-    def contains(self, x) -> bool:
-        """Membership test for one finite point of shape (n,).
-
-        A NaN or infinite coordinate raises ValueError, as in
-        HalfspacePolytope.contains, instead of reading as outside.
-        """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.n},)")
-        if not np.isfinite(x).all():
-            raise ValueError(f"point must be finite, got {x.tolist()}")
-        return bool(self.contains_points(x[None])[0])
+    contains = _contains_one
 
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -193,7 +181,7 @@ def _facet_normal(params: NazParams, seed: int, i: int) -> tuple[np.ndarray, flo
     while norm == 0.0:  # probability-zero guard; continue the same stream
         g = gen.standard_normal(params.n)
         norm = np.linalg.norm(g)
-    return g, norm
+    return g, float(norm)
 
 
 def sample_naz(params: NazParams, seed: int) -> HalfspacePolytope:
@@ -201,7 +189,8 @@ def sample_naz(params: NazParams, seed: int) -> HalfspacePolytope:
 
     unit-sphere-normals: s uniform unit normals, offsets all r.
     gaussian-normals: {x : x.g_i <= w} stored normalized, so facet i has unit
-    normal g_i/||g_i|| and offset w/||g_i||; the raw norm is w/offset_i.
+    normal g_i/||g_i|| and offset w/||g_i||; the raw norm is w/offset_i.  A
+    w/||g_i|| past the largest double raises ValueError.
     Deterministic given (params, seed); facet i depends only on (seed, i), so
     draws are reproducible under any parallel split.
     """
@@ -211,4 +200,6 @@ def sample_naz(params: NazParams, seed: int) -> HalfspacePolytope:
         g, norm = _facet_normal(params, seed, i)
         normals[i] = g / norm
         offsets[i] = params.offset if params.variant == UNIT_SPHERE else params.offset / norm
-    return HalfspacePolytope(normals, offsets, variant=params.variant)
+        if math.isinf(offsets[i]):
+            raise ValueError(f"offset {params.offset!r} / ||g_{i}|| = {norm!r} overflows a double")
+    return HalfspacePolytope(normals, offsets)

@@ -8,11 +8,10 @@ collapses to a one-dimensional integral over the radius rho:
 with F the dilation-derivative factor and P the cap measure at ratio r/rho.
 Everything here is assembled in log space per node, because s reaches 1e7
 and beyond while P sits just below one.  The module also evaluates the
-log-average (Jensen) lower bound on that integral over the chi_n law, the
-facet count that maximizes it, and the constant c1, read at its closed-form
-stationary point, where the objective is e^(-5/4).  The facet count s_star
-that maximizes E[GSA] is found by golden section on ln s alone, each probe
-one integral on the node tables cached for its (n, r).
+log-average (Jensen) lower bound on that integral over the chi_n law and the
+facet count that maximizes it.  The facet count s_star that maximizes
+E[GSA] is found by golden section on ln s alone, each probe one integral on
+the node tables cached for its (n, r).
 Windows follow from n alone, node counts and every tolerance from quadrature's
 one node-doubling policy; a QuadratureSpec only switches the influence
 integral to the adaptive rule that serves as its independent check.
@@ -43,7 +42,7 @@ from .cap import (_LOG_MAX, cap_log_complement_from_ratio,
                   log_complement_upper_from_ratio, log_F_dilation)
 from .golden import golden_section_max
 from .quadrature import _relative_step, composite_nodes, integrate_doubling, node_ladder
-from .specfun import SQRT_2PI, chi_log_density, log1mexp, log_tau_n
+from .specfun import chi_log_density, log1mexp, log_tau_n
 
 _TABLES_KEPT = 16  # one node table per rung of a full ladder: 128 << 0..12
 _CHAIN_SLACK = 1e-10
@@ -221,18 +220,6 @@ def _double_range_error(where: str, log_s: float) -> ValueError:
     return ValueError(
         f"{where}: ln s = {log_s:.6g} is beyond the double range "
         f"(s must stay below the largest double, ln s <= {_LOG_MAX:.2f})")
-
-
-def optimal_c1():
-    """Maximize (c/sqrt(2 pi)) exp(-c e^(1/4) / sqrt(2 pi)) over c > 0.
-
-    Returns (argmax, max value), read at the stationary point: the log
-    derivative 1/c - e^(1/4)/sqrt(2 pi) vanishes at c1 = sqrt(2 pi) e^(-1/4),
-    where the objective is e^(-5/4).
-    """
-    rate = math.exp(0.25) / SQRT_2PI
-    c1 = 1.0 / rate
-    return c1, c1 / SQRT_2PI * math.exp(-rate * c1)
 
 
 def optimize_s(n: int, r: float) -> int:

@@ -36,12 +36,12 @@ def test_cap_subcommand(tmp_path, capsys):
 
 
 def test_optimize_defaults(tmp_path):
+    # r defaults to n^(1/4); the run draws nothing, so it records no seed
     out = tmp_path / "opt.json"
-    assert run(["optimize", "--json", str(out)]) == 0
+    assert run(["optimize", "--n", "64", "--json", str(out)]) == 0
     doc = json.loads(out.read_text())
+    assert doc["params"] == {"n": 64, "r": 64**0.25} and doc["seed"] is None
     rows = {row["name"]: row["value"] for row in doc["rows"]}
-    assert rows["optimal-c1"] == pytest.approx(
-        math.sqrt(2.0 * math.pi) * math.exp(-0.25), abs=1e-8)
     assert rows["limit-constant"] == pytest.approx(math.exp(-1.25), abs=1e-9)
 
 
@@ -160,12 +160,13 @@ def test_scan_csv_deterministic(tmp_path):
     second = tmp_path / "scan2.csv"
     for path in (first, second):
         assert run(["scan", "--n", "64,256", "--alpha", "1.0",
-                    "--seed", "5", "--csv", str(path)]) == 0
+                    "--csv", str(path)]) == 0
     assert first.read_bytes() == second.read_bytes()
     header = first.read_text().splitlines()[0].split(",")
     for column in ("ratio_to_n14", "raic_upper", "ball_upper", "nazarov_lower",
-                   "seed", "schema_version"):
+                   "schema_version"):
         assert column in header
+    assert "seed" not in header
 
 
 def test_scan_rows_frozen_regression(tmp_path):
@@ -180,7 +181,7 @@ def test_scan_rows_frozen_regression(tmp_path):
         "exact_influence": 5.229679629141719, "expected_gsa": 1.3074199072854298,
         "gsa_lower": 1.2207122239437591, "n": 256, "nazarov_lower": 1.1460191874407604,
         "r": 4.0, "raic_upper": 2.5678845608028653, "ratio_to_n14": 0.32685497682135745,
-        "s": 35720.0, "s_jensen": 31573.55868545567, "seed": 0,
+        "s": 35720.0, "s_jensen": 31573.55868545567,
     }]
 
 
@@ -281,7 +282,7 @@ def test_selftest_writes_its_report(tmp_path):
     assert run(["selftest", "--json", str(out_json), "--csv", str(out_csv)]) == 0
     doc = json.loads(out_json.read_text())
     jsonschema.validate(doc, load_schema())
-    assert doc["command"] == "selftest"
+    assert doc["command"] == "selftest" and doc["seed"] is None
     assert [row["name"] for row in doc["rows"]] == [name for name, _ in cli._selftest_checks()]
     assert "chain-dominance" in {row["name"] for row in doc["rows"]}
     assert all(row["value"] == 1.0 and row["seconds"] >= 0.0 for row in doc["rows"])
@@ -385,10 +386,10 @@ def test_convergence_failure_leaves_a_json_record(tmp_path, capsys):
 
 @pytest.mark.parametrize("failing, succeeding, params", [
     (["scan", "--n", "16", "--alpha", "3.5"], ["scan", "--n", "16", "--alpha", "1.0"],
-     {"n": [16], "alpha": [3.5], "seed": 0}),
+     {"n": [16], "alpha": [3.5]}),
     (["quad", "--n", "16", "--alpha", "1", "--s", "1e30"],
      ["quad", "--n", "16", "--alpha", "1", "--s", "10"],
-     {"n": 16, "r": 2.0, "alpha": 1.0, "s": 1e30, "seed": 0}),
+     {"n": 16, "r": 2.0, "alpha": 1.0, "s": 1e30}),
 ])
 def test_convergence_failure_records_the_params_a_success_writes(
         failing, succeeding, params, tmp_path):
@@ -425,14 +426,16 @@ def test_csv_carries_the_json_rows(argv, tmp_path):
     # is its JSON row, a null written as an empty cell
     out_json, out_csv = tmp_path / "report.json", tmp_path / "report.csv"
     assert run(argv + ["--json", str(out_json), "--csv", str(out_csv)]) == 0
-    rows = _strict_json(out_json)["rows"]
+    doc = _strict_json(out_json)
+    jsonschema.validate(doc, load_schema())
+    rows = doc["rows"]
     with out_csv.open(newline="") as fh:
         reader = csv.DictReader(fh)
         header, lines = reader.fieldnames, list(reader)
     assert rows and len(set(header)) == len(header) and header[-1] == "schema_version"
     assert all(sorted(header[:-1]) == sorted(row) for row in rows)
     assert lines == [{**{key: "" if value is None else str(value)
-                         for key, value in row.items()}, "schema_version": "2"}
+                         for key, value in row.items()}, "schema_version": "3"}
                      for row in rows]
 
 
@@ -491,6 +494,17 @@ def test_offset_inside_the_radial_window_stays_a_numerical_failure(capsys):
     assert "facet-count optimum not bracketed" in capsys.readouterr().err
 
 
+def test_gaussian_offset_overflow_exits_one_naming_the_offset(tmp_path, capsys):
+    # w / ||g_i|| used to overflow to inf with a numpy warning, an error under
+    # this suite's warning filter, so a traceback escaped main
+    out = tmp_path / "influence.json"
+    assert run(["influence", "--n", "2", "--body", "naz-prime", "--r", "1e308", "--s", "8",
+                "--samples", "2", "--json", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: offset 1e+308 / ||g_") and "overflows a double" in err
+    assert not out.exists()
+
+
 def test_gsa_at_a_huge_offset_exits_zero_without_warning(tmp_path):
     # the facet Monte Carlo's Gaussian density at each facet read its
     # np.float64 offset of 1e300 and warned on overflow, an error under this
@@ -522,9 +536,47 @@ def test_quad_records_the_alpha_it_ran(tmp_path, alpha_args):
 
 
 def test_optimize_rejects_r_without_n(capsys):
-    # without --n there are no facet-count rows for the offset to set
+    # every optimize row but the constant e^(-5/4) needs --n, so it is required
     assert run(["optimize", "--r", "2"]) == 1
-    assert "--r needs --n" in capsys.readouterr().err
+    assert "the following arguments are required: --n" in capsys.readouterr().err
+
+
+def test_optimize_without_n_exits_one(tmp_path):
+    out = tmp_path / "opt.json"
+    assert run(["optimize", "--json", str(out)]) == 1
+    assert not out.exists()
+
+
+# one argv per subcommand, each with only its required options
+MINIMAL_ARGVS = [
+    ["cap", "--n", "3", "--norm", "2", "--r", "1"],
+    ["influence", "--n", "4"],
+    ["gsa", "--n", "4", "--r", "1.5", "--s", "6"],
+    ["quad", "--n", "16", "--s", "32"],
+    ["optimize", "--n", "64"],
+    ["scan", "--n", "64"],
+    ["selftest"],
+]
+
+
+@pytest.mark.parametrize("argv", MINIMAL_ARGVS, ids=lambda argv: argv[0])
+def test_params_record_every_option(argv):
+    # an option left out of the params would change a run without its report
+    # saying so; the output paths and the chart are where a report goes, not
+    # what it computes
+    args = cli.build_parser().parse_args(argv)
+    options = set(vars(args)) - {"command", "func", "params", "json", "csv", "svg"}
+    assert set(args.params(args)) == options
+
+
+@pytest.mark.parametrize("argv", [argv for argv in MINIMAL_ARGVS
+                                  if argv[0] not in ("influence", "gsa")],
+                         ids=lambda argv: argv[0])
+def test_seed_is_only_for_monte_carlo_commands(argv, capsys):
+    # only influence and gsa draw random streams; elsewhere a seed would be
+    # recorded without changing a number
+    assert run(argv + ["--seed", "7"]) == 1
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -547,7 +599,7 @@ def test_main_builds_its_parser_once(tmp_path, monkeypatch, fresh_parser):
     assert run(["quad", "--n", "16", "--r", "2", "--s", "32", "--json", out]) == 0
     assert run(["cap", "--n", "3"]) == 1
     assert run(["scan", "--n", "64", "--alpha", "1.0", "--json", out]) == 0
-    assert run(["optimize", "--json", out]) == 0
+    assert run(["optimize", "--n", "64", "--json", out]) == 0
     assert len(builds) == 1
     # the public builder itself stays uncached
     assert build_parser() is not build_parser()
@@ -556,11 +608,11 @@ def test_main_builds_its_parser_once(tmp_path, monkeypatch, fresh_parser):
 def test_usage_error_between_scans_leaves_the_report_unchanged(tmp_path):
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     assert run(["scan", "--n", "64", "--json", str(first)]) == 0
-    # a half-parsed seed and alpha must not leak into the next call
-    assert run(["scan", "--seed", "9", "--alpha", "2.0", "--svg"]) == 1
+    # a half-parsed alpha must not leak into the next call
+    assert run(["scan", "--alpha", "2.0", "--svg"]) == 1
     assert run(["scan", "--n", "64", "--json", str(second)]) == 0
     assert second.read_bytes() == first.read_bytes()
-    assert json.loads(second.read_text())["seed"] == 0
+    assert json.loads(second.read_text())["params"] == {"n": [64], "alpha": [1.0]}
 
 
 @pytest.mark.parametrize("argv", [

@@ -38,7 +38,6 @@ def test_sample_naz_structure():
     K = polytope.sample_naz(params, seed=3)
     assert np.allclose(np.linalg.norm(K.normals, axis=1), 1.0, atol=1e-12)
     assert np.all(K.offsets == 2.0)
-    assert K.variant == polytope.UNIT_SPHERE
     single = polytope.sample_naz(NazParams(n=2, offset=1.0, s=1), seed=0)
     assert single.inradius() == 1.0
 
@@ -158,8 +157,7 @@ def test_polytope_validation():
     with pytest.raises(ValueError):
         HalfspacePolytope(np.array([[1.0, 0.0]]), np.array([-1.0]))
     with pytest.raises(ValueError):
-        HalfspacePolytope(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 2.0]),
-                          variant=polytope.UNIT_SPHERE)
+        HalfspacePolytope(np.eye(2), np.array([1.0]))
 
 
 def test_ball_basics():

@@ -13,10 +13,8 @@ from gsalab.cap import log_complement_upper_from_ratio
 from gsalab.polytope import NazParams
 from gsalab.quadrature import QuadratureConvergenceError
 from gsalab.radial import (ChainViolationError, QuadratureSpec, expected_gsa,
-                           expected_influence_quadrature, lower_bound_chain, optimal_c1,
-                           optimize_s, scan_report)
-
-C1_CLOSED_FORM = math.sqrt(2.0 * math.pi) * math.exp(-0.25)
+                           expected_influence_quadrature, lower_bound_chain, optimize_s,
+                           scan_report)
 
 
 def test_spec_validation():
@@ -117,38 +115,6 @@ def test_expected_gsa_matches_facet_mc():
         values[d] = estimators.estimate_gsa_facets(K, 1000, seed=9500 + d).value
     stderr = values.std(ddof=1) / math.sqrt(draws)
     assert abs(values.mean() - expected_gsa(n, r, float(s))) <= 4 * stderr
-
-
-def test_optimal_c1_closed_forms():
-    c_star, value = optimal_c1()
-    assert abs(c_star - C1_CLOSED_FORM) <= 1e-8
-    assert abs(value - math.exp(-1.25)) <= 1e-9
-
-
-def test_optimal_c1_is_interior_max():
-    c_star, value = optimal_c1()
-    rate = math.exp(0.25) / math.sqrt(2.0 * math.pi)
-
-    def objective(c):
-        return c / math.sqrt(2.0 * math.pi) * math.exp(-rate * c)
-
-    assert objective(c_star / 2.0) < value
-    assert objective(2.0 * c_star) < value
-
-
-def test_optimal_c1_is_the_stationary_point():
-    # the closed forms to 2 ulp; the objective falls on both sides of c1 by
-    # far more than its rounding, so c1 is the maximum, not just a root
-    c_star, value = optimal_c1()
-    assert abs(c_star - C1_CLOSED_FORM) <= 2 * math.ulp(C1_CLOSED_FORM)
-    assert abs(value - math.exp(-1.25)) <= 2 * math.ulp(math.exp(-1.25))
-    rate = math.exp(0.25) / math.sqrt(2.0 * math.pi)
-
-    def objective(c):
-        return c / math.sqrt(2.0 * math.pi) * math.exp(-rate * c)
-
-    assert objective(c_star * (1.0 - 1e-6)) < value
-    assert objective(c_star * (1.0 + 1e-6)) < value
 
 
 def jensen_rule(n, r):
