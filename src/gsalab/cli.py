@@ -170,8 +170,9 @@ def _make_body(args):
 
 
 def _influence_params(args):
-    return {"n": args.n, "body": args.body, "r": args.r, "s": args.s,
-            "radius": args.radius, "samples": args.samples, "seed": args.seed}
+    # a ball reads only its radius, a polytope only its facet offset and count
+    shape = {"radius": args.radius} if args.body == "ball" else {"r": args.r, "s": args.s}
+    return {"n": args.n, "body": args.body, **shape, "samples": args.samples, "seed": args.seed}
 
 
 def _cmd_influence(args, params):

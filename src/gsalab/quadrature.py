@@ -1,5 +1,7 @@
 """Gauss-Legendre quadrature: composite panels, the one node-doubling
-ladder every fixed-rule integral runs on, and an adaptive bisection rule."""
+ladder every fixed-rule integral runs on, and an adaptive bisection rule.
+The ladder climbs a caller's own evaluate(m), such as a sum over radial's
+cached node tables; no plain integral of a function is offered."""
 
 from __future__ import annotations
 
@@ -75,16 +77,6 @@ def node_ladder(evaluate, settled, what):
 
 def _relative_step(prev, val, tol):
     return abs(val - prev) <= tol * max(abs(val), abs(prev), 1e-300)
-
-
-def integrate_doubling(f, lo, hi):
-    """Integrate a vectorized f on [lo, hi] on the node ladder, each doubling
-    step measured relative to the value (budget and tolerances: node_ladder)."""
-    def evaluate(m):
-        x, w = composite_nodes(lo, hi, m)
-        return float(np.dot(w, f(x)))
-
-    return node_ladder(evaluate, _relative_step, lambda: f"integral on [{lo}, {hi}]")
 
 
 def adaptive_quad(f, lo, hi, abs_tol=1e-12):

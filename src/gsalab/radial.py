@@ -11,7 +11,7 @@ and beyond while P sits just below one.  The module also evaluates the
 log-average (Jensen) lower bound on that integral over the chi_n law and the
 facet count that maximizes it.  The facet count s_star that maximizes
 E[GSA] is found by golden section on ln s alone, each probe one integral on
-the node tables cached for its (n, r).
+the node tables cached for its (n, r), the tables the bound's sums read too.
 Windows follow from n alone, node counts and every tolerance from quadrature's
 one node-doubling policy; a QuadratureSpec only switches the influence
 integral to the adaptive rule that serves as its independent check.
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,10 +42,10 @@ import numpy as np
 from .cap import (_LOG_MAX, cap_log_complement_from_ratio,
                   log_complement_upper_from_ratio, log_F_dilation)
 from .golden import golden_section_max
-from .quadrature import _relative_step, composite_nodes, integrate_doubling, node_ladder
+from .quadrature import _relative_step, composite_nodes, node_ladder
 from .specfun import chi_log_density, log1mexp, log_tau_n
 
-_TABLES_KEPT = 16  # one node table per rung of a full ladder: 128 << 0..12
+_TABLES_KEPT = 16  # a full ladder, 128 << 0..12, plus the Jensen window's own tables
 _CHAIN_SLACK = 1e-10
 _LOG_UNDERFLOW = -746.0  # math.exp is exactly 0.0 below this
 
@@ -114,25 +115,32 @@ def _logsumexp(values: np.ndarray) -> float:
 
 
 def _s_free_log_terms(n: int, r: float, rho, log_w=0.0):
-    """The s-free parts of the log integrand at rho, its one definition.
+    """The s-free parts of the log integrand at rho, their one definition.
 
-    Returns (log_w + log chi_n + log tau_n + log F, log P); the log
-    integrand is the first plus log s plus (s - 1) times the second.
+    Returns (log_w + log chi_n + log tau_n + log F, log P, log chi_n, log F);
+    the log integrand is the first plus log s plus (s - 1) times the second.
     """
-    base = log_w + chi_log_density(n, rho) + log_tau_n(n) + log_F_dilation(n, r, rho)
-    return base, log1mexp(cap_log_complement_from_ratio(n, r / rho))
+    log_chi, log_f = chi_log_density(n, rho), log_F_dilation(n, r, rho)
+    base = log_w + log_chi + log_tau_n(n) + log_f
+    return base, log1mexp(cap_log_complement_from_ratio(n, r / rho)), log_chi, log_f
+
+
+_NodeTable = namedtuple("_NodeTable", "base log_p w chi log_f")
 
 
 @lru_cache(maxsize=_TABLES_KEPT)
-def _node_table(n: int, r: float, lo: float, hi: float, nodes: int):
-    """Cached s-free log terms at the nodes, the quadrature weights folded in.
+def _node_table(n: int, r: float, lo: float, hi: float, nodes: int) -> _NodeTable:
+    """Cached s-free terms at the nodes of [lo, hi], the one place they are evaluated.
 
-    Callers reuse the tables of one (n, r) at a time, across the values of s
-    that optimize_s and lower_bound_chain try, so the cache holds one full
-    ladder; tables kept for earlier (n, r) would only pin memory.
+    The exact integral reads base (log weights folded in) and log_p, the
+    Jensen sums w, chi, log_f and log_p.  Callers reuse the tables of one
+    (n, r) at a time, across the values of s that optimize_s and
+    lower_bound_chain try, so the cache holds one full ladder and the Jensen
+    window's tables; tables kept for earlier (n, r) would only pin memory.
     """
     x, w = composite_nodes(lo, hi, nodes)
-    return _s_free_log_terms(n, r, x, np.log(w))
+    base, log_p, log_chi, log_f = _s_free_log_terms(n, r, x, np.log(w))
+    return _NodeTable(base, log_p, w, np.exp(log_chi), log_f)
 
 
 def influence_log_integrand(n: int, r: float, s: float, rho):
@@ -142,7 +150,7 @@ def influence_log_integrand(n: int, r: float, s: float, rho):
     intermediate stays in log space.
     """
     rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-    base, log_p = _s_free_log_terms(n, r, rho_arr)
+    base, log_p, _, _ = _s_free_log_terms(n, r, rho_arr)
     out = base + math.log(s) + (s - 1.0) * log_p
     return float(out[0]) if np.isscalar(rho) else out
 
@@ -201,8 +209,8 @@ def expected_influence_quadrature(n: int, r: float, s: float,
         return 0.0
 
     def log_value(nodes):
-        base, log_p = _node_table(n, r, lo, hi, nodes)
-        return _logsumexp(base + log_s + (s - 1.0) * log_p)
+        table = _node_table(n, r, lo, hi, nodes)
+        return _logsumexp(table.base + log_s + (s - 1.0) * table.log_p)
 
     def what():
         return f"influence quadrature (log values) at (n={n}, r={r}, s={s})"
@@ -278,10 +286,11 @@ def lower_bound_chain(n: int, r: float, s: float) -> LowerBoundReport:
 
     the second step by Jensen's inequality on the chi_n law restricted to W,
     whose mass is m_W.  W is the exact integral's window moved one unit clear
-    of rho = r, where ln F tends to -inf; wherever the two coincide, the
-    ln P node tables the bound reads are the ones the exact integral built.
-    The log-moments integral_W chi_n ln F and integral_W chi_n ln P each climb
-    their own node ladder, settled to 1e-8 relative.  The bound is
+    of rho = r, where ln F tends to -inf.  m_W and the log-moments
+    integral_W chi_n ln F and integral_W chi_n ln P are dot products over W's
+    node tables, each climbing its own node ladder, settled to 1e-8
+    relative; wherever W is the exact window, those are the tables the exact
+    integral built, so the bound evaluates nothing of its own.  The bound is
     largest at s_jensen = -m_W / integral_W chi_n ln P.  At s = 1 the
     (s - 1) term is exactly 0.  A bound above the exact value beyond 1e-10
     relative slack raises ChainViolationError; an empty W, or an s_jensen
@@ -292,18 +301,14 @@ def lower_bound_chain(n: int, r: float, s: float) -> LowerBoundReport:
     lo, hi = max(spec.rho_lo, r + 1.0), spec.rho_hi
     if not lo < hi:
         raise ValueError(f"Jensen window empty at (n={n}, r={r}): r + 1 >= sqrt(n) + 12")
-    mass = integrate_doubling(lambda x: np.exp(chi_log_density(n, x)), lo, hi)
 
-    def moment(name, log_term):
-        def evaluate(nodes):
-            x, w = composite_nodes(lo, hi, nodes)
-            return float(np.dot(w * np.exp(chi_log_density(n, x)), log_term(x, nodes)))
+    def jensen_sum(name, column):
+        return node_ladder(lambda nodes: float(column(_node_table(n, r, lo, hi, nodes))),
+                           _relative_step, lambda: f"Jensen {name} at (n={n}, r={r})")
 
-        return node_ladder(evaluate, _relative_step,
-                           lambda: f"Jensen {name} moment at (n={n}, r={r})")
-
-    int_log_f = moment("ln F", lambda x, nodes: log_F_dilation(n, r, x))
-    int_log_p = moment("ln P", lambda x, nodes: _node_table(n, r, lo, hi, nodes)[1])
+    mass = jensen_sum("mass", lambda t: np.dot(t.w, t.chi))
+    int_log_f = jensen_sum("ln F moment", lambda t: np.dot(t.w * t.chi, t.log_f))
+    int_log_p = jensen_sum("ln P moment", lambda t: np.dot(t.w * t.chi, t.log_p))
     if int_log_p == 0.0:
         raise ValueError(f"Jensen facet count at (n={n}, r={r}): ln P underflows to 0 on "
                          f"the whole window, so ln s is beyond the double range "

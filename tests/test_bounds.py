@@ -7,7 +7,7 @@ from scipy.stats import chi as chi_dist
 
 from gsalab import bounds, estimators, specfun
 from gsalab.polytope import Ball
-from gsalab.quadrature import integrate_doubling
+from gsalab.quadrature import _relative_step, composite_nodes, node_ladder
 
 from oracles import ball_influence_quadrature
 
@@ -57,9 +57,14 @@ def test_gsa_ball_influence_identity():
 
 
 def test_ball_influence_quadrature_against_scipy():
-    # the node ladder on the ball integrand against the scipy.integrate oracle
+    # the node ladder over composite sums of the ball integrand against the
+    # scipy.integrate oracle
     for n, R in ((4, 1.0), (7, 2.0)):
-        got = integrate_doubling(lambda rho: chi_dist.pdf(rho, n) * (n - rho**2), 0.0, R)
+        def evaluate(m):
+            rho, w = composite_nodes(0.0, R, m)
+            return float(np.dot(w, chi_dist.pdf(rho, n) * (n - rho**2)))
+
+        got = node_ladder(evaluate, _relative_step, lambda: f"ball influence at n={n}")
         assert got == pytest.approx(ball_influence_quadrature(n, R), abs=1e-9)
 
 

@@ -559,14 +559,35 @@ MINIMAL_ARGVS = [
 ]
 
 
+# influence options that the chosen body never reads
+IGNORED_BY_BODY = {"naz": {"radius"}, "naz-prime": {"radius"}, "ball": {"r", "s"}}
+
+
 @pytest.mark.parametrize("argv", MINIMAL_ARGVS, ids=lambda argv: argv[0])
 def test_params_record_every_option(argv):
     # an option left out of the params would change a run without its report
     # saying so; the output paths and the chart are where a report goes, not
-    # what it computes
+    # what it computes, and an option the body ignores computes nothing
     args = cli.build_parser().parse_args(argv)
     options = set(vars(args)) - {"command", "func", "params", "json", "csv", "svg"}
-    assert set(args.params(args)) == options
+    assert set(args.params(args)) == options - IGNORED_BY_BODY.get(vars(args).get("body"), set())
+
+
+@pytest.mark.parametrize("body, ignored, params", [
+    ("ball", ["--r", "5", "--s", "99"], {"radius": 1.0}),
+    ("naz", ["--radius", "3"], {"r": 1.0, "s": 16}),
+    ("naz-prime", ["--radius", "3"], {"r": 1.0, "s": 16}),
+])
+def test_influence_params_leave_out_what_the_body_ignores(body, ignored, params, tmp_path):
+    # a ball run recorded the polytope's r = 1.0 and s = 16, and a polytope
+    # run the ball's radius: options that change no number of the run
+    plain, extra = tmp_path / "plain.json", tmp_path / "extra.json"
+    argv = ["influence", "--n", "4", "--body", body, "--samples", "512", "--seed", "1"]
+    assert run(argv + ["--json", str(plain)]) == 0
+    assert run(argv + ignored + ["--json", str(extra)]) == 0
+    assert extra.read_bytes() == plain.read_bytes()
+    assert json.loads(plain.read_text())["params"] == {
+        "n": 4, "body": body, **params, "samples": 512, "seed": 1}
 
 
 @pytest.mark.parametrize("argv", [argv for argv in MINIMAL_ARGVS

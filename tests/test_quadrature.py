@@ -5,8 +5,8 @@ import pytest
 
 from gsalab import golden, quadrature, radial
 from gsalab.golden import INV_PHI, golden_section_max
-from gsalab.quadrature import (QuadratureConvergenceError, adaptive_quad,
-                               composite_nodes, integrate_doubling, node_ladder)
+from gsalab.quadrature import (QuadratureConvergenceError, _relative_step, adaptive_quad,
+                               composite_nodes, node_ladder)
 
 
 def gaussian(x):
@@ -24,35 +24,42 @@ def test_composite_rejects_bad_window():
         composite_nodes(1.0, 1.0, 64)
 
 
-def test_integrate_doubling_gaussian_mass():
-    assert integrate_doubling(gaussian, -10.0, 10.0) == pytest.approx(1.0, abs=1e-12)
+def test_composite_rule_gaussian_mass():
+    x, w = composite_nodes(-10.0, 10.0, quadrature.NODES)
+    assert np.dot(w, gaussian(x)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_integrate_doubling_polynomial_exact():
-    assert integrate_doubling(lambda x: x**3 - 2 * x + 1, 0.0, 2.0) == pytest.approx(
-        2.0, rel=1e-14)
+def test_composite_rule_polynomial_exact():
+    # one 16-point panel already integrates a cubic exactly
+    x, w = composite_nodes(0.0, 2.0, quadrature.PANEL_ORDER)
+    assert np.dot(w, x**3 - 2 * x + 1) == pytest.approx(2.0, rel=1e-14)
 
 
-def test_integrate_doubling_reports_failure():
-    # white-noise integrand never stabilizes under node doubling
+def noise_ladder():
+    """A node ladder over composite sums of white noise, which never stabilize."""
     state = np.random.default_rng(0)
 
-    def noisy(x):
-        return state.standard_normal(x.shape)
+    def evaluate(m):
+        x, w = composite_nodes(0.0, 1.0, m)
+        return float(np.dot(w, state.standard_normal(x.shape)))
 
-    with pytest.raises(QuadratureConvergenceError) as err:
-        integrate_doubling(noisy, 0.0, 1.0)
-    assert err.value.history
+    return node_ladder(evaluate, _relative_step, lambda: "white noise")
+
+
+def test_node_ladder_reports_failure_with_its_rungs():
+    with pytest.raises(QuadratureConvergenceError, match="white noise did not stabilize") as err:
+        noise_ladder()
+    assert [m for m, _ in err.value.history] == [
+        quadrature.NODES << k for k in range(quadrature.MAX_DOUBLINGS + 1)]
 
 
 def test_one_doubling_budget_for_every_ladder(monkeypatch):
     # the budget is quadrature's alone: cutting it to 3 doublings ends both a
-    # plain integral and the radial influence ladder at NODES << 3
+    # caller's own ladder and the radial influence ladder at NODES << 3
     monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 3)
     rungs = [quadrature.NODES << k for k in range(4)]
-    state = np.random.default_rng(0)
     with pytest.raises(QuadratureConvergenceError) as err:
-        integrate_doubling(lambda x: state.standard_normal(x.shape), 0.0, 1.0)
+        noise_ladder()
     assert [m for m, _ in err.value.history] == rungs
     # the log value of this cell keeps moving by far more than GIVE_UP_TOL
     with pytest.raises(QuadratureConvergenceError) as err:

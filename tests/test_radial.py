@@ -314,27 +314,72 @@ def test_chain_at_one_facet_is_not_nan(n, alpha):
     assert rep.log_chain_value == pytest.approx(math.log(rep.chain_value), rel=1e-12)
 
 
-def test_chain_evaluates_the_exact_complement_on_one_grid(monkeypatch):
-    # log P is the chain's costly integrand.  Where the Jensen window is the
-    # exact integral's window (here [20, 44]), the bound reads the node
-    # tables the exact integral built, so the only calls are those tables'
-    # and the quadrature's early-exit bound at the window's lower edge
-    calls = []
-    exact = radial.cap_log_complement_from_ratio
+def spy_on_integrand_parts(monkeypatch):
+    """Patch radial's integrand parts and node builder to record their calls.
 
-    def recorder(n, u):
-        calls.append(np.size(u))
-        return exact(n, u)
+    Returns {name: [argument size per call]} for chi_n, F, the cap complement
+    and composite_nodes, after clearing radial's caches.
+    """
+    calls = {}
 
+    def recorder(name, size_of):
+        real = getattr(radial, name)
+        calls[name] = []
+
+        def spy(*args):
+            calls[name].append(size_of(*args))
+            return real(*args)
+
+        monkeypatch.setattr(radial, name, spy)
+
+    recorder("chi_log_density", lambda n, rho: np.size(rho))
+    recorder("log_F_dilation", lambda n, r, rho: np.size(rho))
+    recorder("cap_log_complement_from_ratio", lambda n, u: np.size(u))
+    recorder("composite_nodes", lambda lo, hi, nodes: nodes)
     radial._node_table.cache_clear()
     radial._log_p_max.cache_clear()
-    monkeypatch.setattr(radial, "cap_log_complement_from_ratio", recorder)
+    return calls
+
+
+def test_chain_evaluates_the_exact_complement_on_one_grid(monkeypatch):
+    # Where the Jensen window is the exact integral's window (here [20, 44]),
+    # the bound's mass and both moments read the node tables the exact
+    # integral built, so the only evaluations are those tables' and the
+    # quadrature's early-exit bound at the window's lower edge; the chain
+    # made 6 chi_n, 2 F and 4 node builds of its own when its mass and
+    # ln F moment built their own nodes
+    calls = spy_on_integrand_parts(monkeypatch)
     expected_influence_quadrature(1024, 1024**0.25, 2000.0)
-    tables = list(calls)
+    tables = {name: list(sizes) for name, sizes in calls.items()}
     lower_bound_chain(1024, 1024**0.25, 2000.0)
-    assert calls == tables  # the chain's own exact integral and moments hit the cache
-    assert tables.count(1) == 1
-    assert all(size in {128 << k for k in range(13)} for size in tables if size != 1)
+    assert calls == tables  # the chain's own exact integral and sums hit the cache
+    cap_sizes = tables["cap_log_complement_from_ratio"]
+    assert cap_sizes.count(1) == 1
+    assert all(size in {128 << k for k in range(13)} for size in cap_sizes if size != 1)
+
+
+def test_chain_builds_one_table_per_rung_off_the_exact_window(monkeypatch):
+    # at n = 64 the exact window starts at rho = r and W one unit above it;
+    # W's mass and both moments then share one table per rung of their
+    # ladders, where they made 8 chi_n, 4 F, 2 cap and 6 node builds
+    n, r = 64, 64**0.25
+    calls = spy_on_integrand_parts(monkeypatch)
+    expected_influence_quadrature(n, r, 502.0)
+    before = {name: len(sizes) for name, sizes in calls.items()}
+    rungs, ladder = [], radial.node_ladder
+
+    def ladder_spy(evaluate, settled, what):
+        def recorder(m):
+            rungs.append(m)
+            return evaluate(m)
+        return ladder(recorder if "Jensen" in what() else evaluate, settled, what)
+
+    monkeypatch.setattr(radial, "node_ladder", ladder_spy)
+    lower_bound_chain(n, r, 502.0)
+    made = {name: len(sizes) - before[name] for name, sizes in calls.items()}
+    assert len(set(rungs)) == 2
+    assert made == dict.fromkeys(calls, len(set(rungs)))
+    assert calls["composite_nodes"][-2:] == sorted(set(rungs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -352,7 +397,7 @@ def test_chain_is_below_the_exact_value_within_512_nodes(n, alpha, s):
         def recorder(m):
             rungs.append(m)
             return evaluate(m)
-        return ladder(recorder if "moment" in what() else evaluate, settled, what)
+        return ladder(recorder if "Jensen" in what() else evaluate, settled, what)
 
     r = alpha * n**0.25
     try:
@@ -414,7 +459,6 @@ def test_chain_within_ten_percent_of_exact_at_alpha_one():
 
 
 def test_chain_runs_no_golden_search(monkeypatch):
-    # v1 and v2 are grid minima; a golden refinement of each made 2 searches
     searches = []
 
     def spy(search):
@@ -501,9 +545,9 @@ def test_scan_integrates_each_facet_count_once(monkeypatch):
     (rep,) = scan_report([4096], [1.0])
     assert integrated == [math.exp(x) for x in probes] + [rep.s]
     assert integrated.count(rep.s) == 1
-    # then the chain's two moment ladders, ln F before ln P
+    # then the chain's three ladders: the mass, then ln F before ln P
     assert ladders == (["influence quadrature (log values)"] * len(integrated)
-                       + ["Jensen ln F moment", "Jensen ln P moment"])
+                       + ["Jensen mass", "Jensen ln F moment", "Jensen ln P moment"])
 
 
 def test_facet_counts_past_the_double_range_raise_value_error(monkeypatch):
