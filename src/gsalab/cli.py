@@ -417,7 +417,8 @@ def build_parser():
     p.set_defaults(func=_cmd_quad, params=_quad_params)
 
     p = sub.add_parser("optimize", help="tune s at dimension n and offset r (default "
-                       "n^(1/4)): the s that maximizes E[GSA] and the s that maximizes "
+                       "n^(1/4)): the s that maximizes E[GSA], the better integer "
+                       "beside the root of dE/d ln s = 0, and the s that maximizes "
                        "the finite-n Jensen bound, beside e^(-5/4), the large-n "
                        "alpha = 1 value of the log-average (Jensen) bound")
     p.add_argument("--n", type=int, required=True)

@@ -10,8 +10,10 @@ Everything here is assembled in log space per node, because s reaches 1e7
 and beyond while P sits just below one.  The module also evaluates the
 log-average (Jensen) lower bound on that integral over the chi_n law and the
 facet count that maximizes it.  The facet count s_star that maximizes
-E[GSA] is found by golden section on ln s alone, each probe one integral on
-the node tables cached for its (n, r), the tables the bound's sums read too.
+E[GSA] is defined by its first-order condition: the root in ln s of
+dE/d ln s, found by safeguarded Newton on sums over the node tables cached
+for its (n, r), the tables the bound's sums read too, and then the better of
+the two integers beside e^root.
 Windows follow from n alone, node counts and every tolerance from quadrature's
 one node-doubling policy; a QuadratureSpec only switches the influence
 integral to the adaptive rule that serves as its independent check.
@@ -35,19 +37,20 @@ import math
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
 from .cap import (_LOG_MAX, cap_log_complement_from_ratio,
                   log_complement_upper_from_ratio, log_F_dilation)
-from .golden import golden_section_max
 from .quadrature import _relative_step, composite_nodes, node_ladder
 from .specfun import chi_log_density, log1mexp, log_tau_n
 
 _TABLES_KEPT = 16  # a full ladder, 128 << 0..12, plus the Jensen window's own tables
 _CHAIN_SLACK = 1e-10
 _LOG_UNDERFLOW = -746.0  # math.exp is exactly 0.0 below this
+_ROOT_TOL = 1e-7  # the last Newton step in ln s
+_MAX_SLOPES = 100  # a safety stop far beyond what safeguarded Newton needs
 
 
 class ChainViolationError(RuntimeError):
@@ -125,7 +128,7 @@ def _s_free_log_terms(n: int, r: float, rho, log_w=0.0):
     return base, log1mexp(cap_log_complement_from_ratio(n, r / rho)), log_chi, log_f
 
 
-_NodeTable = namedtuple("_NodeTable", "base log_p w chi log_f")
+_NodeTable = namedtuple("_NodeTable", "base log_p log_neg_log_p w chi log_f")
 
 
 @lru_cache(maxsize=_TABLES_KEPT)
@@ -133,14 +136,17 @@ def _node_table(n: int, r: float, lo: float, hi: float, nodes: int) -> _NodeTabl
     """Cached s-free terms at the nodes of [lo, hi], the one place they are evaluated.
 
     The exact integral reads base (log weights folded in) and log_p, the
-    Jensen sums w, chi, log_f and log_p.  Callers reuse the tables of one
-    (n, r) at a time, across the values of s that optimize_s and
+    slope of E in ln s also log_neg_log_p = ln(-ln P) (-inf where ln P is
+    0), and the Jensen sums w, chi, log_f and log_p.  Callers reuse the
+    tables of one (n, r) at a time, across the values of s that optimize_s and
     lower_bound_chain try, so the cache holds one full ladder and the Jensen
     window's tables; tables kept for earlier (n, r) would only pin memory.
     """
     x, w = composite_nodes(lo, hi, nodes)
     base, log_p, log_chi, log_f = _s_free_log_terms(n, r, x, np.log(w))
-    return _NodeTable(base, log_p, w, np.exp(log_chi), log_f)
+    with np.errstate(divide="ignore"):
+        log_neg_log_p = np.log(-log_p)
+    return _NodeTable(base, log_p, log_neg_log_p, w, np.exp(log_chi), log_f)
 
 
 def influence_log_integrand(n: int, r: float, s: float, rho):
@@ -230,50 +236,121 @@ def _double_range_error(where: str, log_s: float) -> ValueError:
         f"(s must stay below the largest double, ln s <= {_LOG_MAX:.2f})")
 
 
+def _slope(n: int, r: float, lo: float, hi: float, x: float):
+    """g(x) = ln A - ln B - x and g'(x) at ln s = x, on the window [lo, hi].
+
+    With h = base + x + (e^x - 1) ln P the log integrand and L = ln(-ln P),
+    A = sum e^h is the integral, B = sum e^(h + L) and C = sum e^(h + 2L),
+    each settled on its own node ladder; one rung's three sums share one h.
+    dA/d ln s = A - s B, so g has the sign of dE/d ln s, and
+    g'(x) = s C / B - s B / A - 1.  -ln P < 1 bounds both ratios by s, so
+    neither exponential overflows.
+    """
+    s_minus_1 = math.expm1(x)
+    rungs = {}
+
+    def log_sum(k, nodes):
+        if nodes not in rungs:
+            t = _node_table(n, r, lo, hi, nodes)
+            h = t.base + x + s_minus_1 * t.log_p
+            rungs[nodes] = (_logsumexp(h), _logsumexp(h + t.log_neg_log_p),
+                            _logsumexp(h + 2.0 * t.log_neg_log_p))
+        return rungs[nodes][k]
+
+    log_a, log_b, log_c = (
+        node_ladder(partial(log_sum, k), _log_step_settled,
+                    lambda: f"facet-count slope (log values) at (n={n}, r={r}, ln s={x})")
+        for k in range(3))
+    g = log_a - log_b - x
+    return g, math.exp(x + log_c - log_b) - math.exp(-g) - 1.0
+
+
+def _newton_root(slope, lo: float, hi: float, x: float) -> float:
+    """The root of g on [lo, hi], where g falls through 0, by safeguarded Newton.
+
+    slope(x) returns (g, g').  [a, b] keeps the root bracketed: a Newton step
+    that leaves it, or that is not finite, is replaced by evaluating the end
+    it points past while that end is unevaluated, and by bisection once it
+    is.  Returns once a step moves x by at most _ROOT_TOL; returns lo when
+    g(lo) <= 0 and hi when g(hi) >= 0, where g does not change sign inside.
+    """
+    a, b = lo, hi
+    a_seen = b_seen = False
+    for _ in range(_MAX_SLOPES):
+        g, dg = slope(x)
+        if g == 0.0 or (x == lo and g < 0.0) or (x == hi and g > 0.0):
+            return x
+        if g > 0.0:
+            a, a_seen = x, True
+        else:
+            b, b_seen = x, True
+        newton = x - g / dg if dg != 0.0 else math.nan
+        if a < newton < b:
+            nxt = newton
+        elif newton <= a and not a_seen:
+            nxt = a
+        elif newton >= b and not b_seen:
+            nxt = b
+        else:
+            nxt = 0.5 * (a + b)
+        if abs(nxt - x) <= _ROOT_TOL:
+            return nxt
+        x = nxt
+    raise RuntimeError(f"facet-count slope did not reach a root on [{lo}, {hi}] "
+                       f"in {_MAX_SLOPES} steps")
+
+
 def optimize_s(n: int, r: float) -> int:
     """The facet count s_star that maximizes expected surface area.
 
-    Works on ln s (continuous relaxation, rounded at the end): golden
-    section runs on the bracket [c - w, c + w], clipped to ln s >= 0, to
-    1e-6 in ln s.  c = -ln G(r / sqrt(n)) centers it where s times the
-    cap-complement bound at radius sqrt(n) is order one, which is where the
-    integrand stops being killed by either factor; w starts at ln 1e3.  An
-    argmax within 1e-6 of the bracket's top, or of a bottom above ln s = 0,
-    doubles w, at most four brackets in all.  Returns s_star alone; a caller
-    that wants its expected_gsa integrates it once.  Every probe integrates
-    one s on the default window, so the node tables are built once per
-    (n, r) and served from cache.  A bracket reaching ln s past the double
-    range (about 709.78) raises ValueError before any probe, and so does a
-    non-finite r or an r at or past the window top sqrt(n) + 12, where
-    E[GSA] is 0.0 for every s.
+    s_star is defined by the first-order condition dE/d ln s = 0: its root
+    in ln s, found by safeguarded Newton (see _slope and _newton_root) until
+    a step moves ln s by at most 1e-7, which Newton's quadratic convergence
+    leaves far below that, gives e^root.  s_star is the integer on either
+    side of e^root with the larger E, the smaller one on a tie; from 2^53
+    on e^root is itself the one representable integer.  The root is sought
+    on the bracket [c - w, c + w], clipped to ln s >= 0.  c = -ln G(r / sqrt(n))
+    centers it where s times the cap-complement bound at radius sqrt(n) is
+    order one, which is where the integrand stops being killed by either
+    factor; Newton starts there, and w starts at ln 1e3.  A slope still
+    positive at the bracket's top, or negative at a bottom above ln s = 0,
+    doubles w, at most four brackets in all, and Newton resumes at that
+    end, each slope evaluated once per call; a slope not positive at
+    ln s = 0 makes s_star 1.  Every slope and E sums over the default
+    window's node tables, built once per (n, r) and served from cache.  A
+    bracket reaching ln s past the double range (about 709.78) raises
+    ValueError before any evaluation, and so does a non-finite r or an r at
+    or past the window top sqrt(n) + 12, where E[GSA] is 0.0 for every s.
     """
     if n < 7:
         raise ValueError(f"optimize_s needs n >= 7, got {n}")
     if not 0.0 < r < math.inf:
         raise ValueError(f"offset r must be finite and > 0, got {r}")
-    top = QuadratureSpec.for_dimension(n).rho_hi
-    if not r < top:
+    spec = QuadratureSpec.for_dimension(n)
+    if not r < spec.rho_hi:
         raise ValueError(f"offset r = {r} is at or past the radial window top "
-                         f"sqrt(n) + 12 = {top}: E[GSA] is 0.0 for every s")
+                         f"sqrt(n) + 12 = {spec.rho_hi}: E[GSA] is 0.0 for every s")
     center = -float(log_complement_upper_from_ratio(n, r / math.sqrt(n)))
-    tol = 1e-6
 
-    def objective(ln_s):
-        return expected_gsa(n, r, math.exp(ln_s))
-
-    half_width = math.log(1e3)
+    slope = cache(partial(_slope, n, r, max(spec.rho_lo, r), spec.rho_hi))
+    half_width, root = math.log(1e3), center
     for _ in range(4):
         lo = max(0.0, center - half_width)
         hi = max(lo + 1.0, center + half_width)
         if hi > _LOG_MAX:
             raise _double_range_error(f"facet-count bracket at (n={n}, r={r})", hi)
-        ln_star = golden_section_max(objective, lo, hi, tol=tol)
-        if not (hi - ln_star <= tol or (lo > 0.0 and ln_star - lo <= tol)):
+        # a wider bracket resumes at the end where the last one stopped
+        root = _newton_root(slope, lo, hi, min(max(root, lo), hi))
+        if lo < root < hi or root == 0.0:
             break
         half_width *= 2.0
     else:
         raise RuntimeError(f"facet-count optimum not bracketed at (n={n}, r={r})")
-    return max(1, int(round(math.exp(ln_star))))
+    s_root = math.exp(root)
+    below, above = math.floor(s_root), math.ceil(s_root)
+    if below == above or expected_gsa(n, r, float(below)) >= expected_gsa(n, r, float(above)):
+        return below
+    return above
 
 
 def lower_bound_chain(n: int, r: float, s: float) -> LowerBoundReport:

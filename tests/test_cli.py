@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -10,8 +12,11 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsalab import cli
+from oracles import influence_quad
 
 
 def run(argv):
@@ -53,6 +58,17 @@ def test_optimize_with_dimension(tmp_path):
     assert rows["facet-count-rule"] >= 1
     assert rows["facet-count-optimal"] >= 1
     assert rows["ratio-to-n14"] > 0.2
+
+
+def test_optimize_at_a_tiny_offset_takes_one_facet(tmp_path):
+    # at r = 1e-300 the root of dE/d ln s is near 1 / ln 2 and E(1) = E(2) to
+    # the last bit, so the tie goes to the smaller count; an independent
+    # quadrature agrees that one facet is no worse than two
+    out = tmp_path / "opt.json"
+    assert run(["optimize", "--n", "64", "--r", "1e-300", "--json", str(out)]) == 0
+    rows = {row["name"]: row["value"] for row in json.loads(out.read_text())["rows"]}
+    assert rows["facet-count-optimal"] == 1.0
+    assert influence_quad(64, 1e-300, 1.0) >= influence_quad(64, 1e-300, 2.0)
 
 
 def test_quad_subcommand(tmp_path):
@@ -652,3 +668,66 @@ def test_in_process_report_matches_a_fresh_process(argv, tmp_path):
                           env=env, capture_output=True, timeout=300)
     assert done.returncode == 0, done.stderr.decode()
     assert fresh.read_bytes() == here.read_bytes()
+
+
+# The robustness contract, fuzzed in-process over every computing command:
+# n from 1 to 1e7, offsets from the least subnormal to 1e308 with nan, inf,
+# 0 and -1, and s up to 1e308.  Monte Carlo commands draw n * s normals per
+# body and samples per pass, so their n, s and sample counts stay small.
+OFFSETS = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 0.5, 1.0, 2.0, 4.0, 1e308,
+                     math.nan, math.inf, -math.inf, 0.0, -1.0]),
+    st.floats(min_value=5e-324, max_value=1e308))
+DIMENSIONS = st.one_of(st.sampled_from([1, 3, 4, 7, 16, 64, 10**7]),
+                       st.integers(min_value=1, max_value=300),
+                       st.integers(min_value=1, max_value=10**7))
+# where optimize and scan find an optimum: alpha = r / n^(1/4) up to about 3
+MODERATE = st.floats(min_value=0.0, max_value=4.0)
+FACET_COUNTS = st.one_of(st.sampled_from([1.0, 2.0, 1e30, 1e308, math.inf, math.nan]),
+                         st.floats(min_value=1.0, max_value=1e308))
+SMALL = st.integers(min_value=-1, max_value=8)
+
+
+def _arg(value):
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _argv(command, **options):
+    return [command] + [item for key, value in options.items()
+                        for item in (f"--{key.replace('_', '-')}", _arg(value))]
+
+
+ARGVS = st.one_of(
+    st.builds(_argv, st.just("cap"), n=DIMENSIONS, norm=OFFSETS, r=OFFSETS),
+    st.builds(_argv, st.just("quad"), n=DIMENSIONS, r=OFFSETS, s=FACET_COUNTS),
+    st.builds(_argv, st.just("optimize"), n=DIMENSIONS, r=st.one_of(OFFSETS, MODERATE)),
+    st.builds(_argv, st.just("scan"), n=DIMENSIONS, alpha=st.one_of(OFFSETS, MODERATE)),
+    st.builds(_argv, st.just("influence"), n=st.integers(min_value=1, max_value=32),
+              body=st.sampled_from(["naz", "naz-prime", "ball"]), r=OFFSETS, s=SMALL,
+              radius=OFFSETS, samples=SMALL, seed=st.just(3)),
+    st.builds(_argv, st.just("gsa"), n=st.integers(min_value=1, max_value=32), r=OFFSETS,
+              s=SMALL, samples_per_facet=SMALL, samples=SMALL, seed=st.just(3)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(argv=ARGVS)
+def test_every_command_keeps_the_robustness_contract(argv, tmp_path_factory):
+    # exit 0 with finite numbers, 1 with an `error:` line, or 2 with a
+    # schema-valid record; no exception or warning escapes cli.main
+    report = tmp_path_factory.getbasetemp() / "contract.json"
+    report.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--json", str(report)])
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert "error:" in err.getvalue(), argv
+        return
+    doc = json.loads(report.read_text())
+    jsonschema.validate(doc, load_schema())
+    if code == 2:
+        assert doc["rows"] == [] and doc["error"]["message"], argv
+    else:
+        values = [value for row in doc["rows"] for key, value in row.items()
+                  if key not in ("name", "stderr", "samples", "seed")]
+        assert values and all(isinstance(v, (int, float)) for v in values), argv

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gsalab import golden, quadrature, radial
-from gsalab.golden import INV_PHI, golden_section_max
+from gsalab import quadrature, radial
 from gsalab.quadrature import (QuadratureConvergenceError, _relative_step, adaptive_quad,
                                composite_nodes, node_ladder)
 
@@ -113,40 +112,6 @@ def test_adaptive_quad_evaluates_one_depth_per_call():
     assert calls == [8, 16, 8]
 
 
-def test_golden_section_quadratic():
-    def f(c):
-        return -(c - 2.0) ** 2
-
-    x = golden_section_max(f, 0.0, 5.0, tol=1e-12)
-    assert x == pytest.approx(2.0, abs=1e-6)
-    assert f(x) <= 0.0
-
-
-def test_golden_section_min_cos():
-    x = golden_section_max(lambda t: -math.cos(t), 2.0, 4.5, tol=1e-12)
-    assert x == pytest.approx(math.pi, abs=1e-6)
-
-
-def test_golden_rejects_bad_bracket():
-    with pytest.raises(ValueError):
-        golden_section_max(lambda c: c, 1.0, 1.0, tol=1e-6)
-
-
-def test_golden_evaluates_only_its_probes():
-    # two bracket points, then one per step; the returned midpoint is not
-    # evaluated, so a costly f runs once less per search
-    probes = []
-
-    def f(c):
-        probes.append(c)
-        return -(c - 2.0) ** 2
-
-    x = golden_section_max(f, 0.0, 5.0, tol=1e-6)
-    steps = math.ceil(math.log(1e-6 / 5.0) / math.log(INV_PHI))
-    assert len(probes) == 2 + steps
-    assert x not in probes
-
-
 def test_node_ladder_budget_and_give_up(monkeypatch):
     # 1/m moves by 1/(2m) per doubling: never within REL_TOL in four
     # doublings, so the ladder ends at m = 16 << 4 = 256 and the give-up
@@ -167,8 +132,3 @@ def test_node_ladder_budget_and_give_up(monkeypatch):
         ladder(1e-3)
     assert err.value.history == [(m, 1.0 / m) for m in (16, 32, 64, 128, 256)]
 
-
-def test_golden_raises_when_its_iterations_run_out(monkeypatch):
-    monkeypatch.setattr(golden, "_MAX_ITER", 9)
-    with pytest.raises(RuntimeError, match="failed to shrink"):
-        golden_section_max(lambda t: -(t - 0.3) ** 2, 0.0, 1.0, tol=1e-12)

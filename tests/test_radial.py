@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtr
 
-from gsalab import estimators, golden, polytope, radial, specfun
+from gsalab import estimators, polytope, radial, specfun
 from gsalab.cap import log_complement_upper_from_ratio
 from gsalab.polytope import NazParams
 from gsalab.quadrature import QuadratureConvergenceError
 from gsalab.radial import (ChainViolationError, QuadratureSpec, expected_gsa,
                            expected_influence_quadrature, lower_bound_chain, optimize_s,
                            scan_report)
+from oracles import INFLUENCE_REFERENCE, influence_quad, influence_reference
 
 
 def test_spec_validation():
@@ -266,9 +267,9 @@ def test_chain_never_trips_on_valid_configs():
 # exact_quadrature, chain_value, gsa_lower, ratio_to_n14, log_chain_value,
 # s_jensen); s is the optimized facet count.  The exact-integral fields are
 # the values the shell chain's reports held; the bound's three are frozen
-# from the first Jensen chain.  s is golden section's landing point, to
-# 1e-6 in ln s, on optimize_s's bracket, and the fields read at s are
-# frozen there.
+# from the first Jensen chain.  s is the integer beside the root of
+# dE/d ln s = 0 with the larger E (past 2^53, e^root itself), and the fields
+# read at s are frozen there.
 CHAIN_FROZEN = {
     (16, 1.0): (
         16, 2.0, 55.0, 1.0, 1.5762345344626725, 1.3217833060739583, 0.6608916530369792,
@@ -277,15 +278,15 @@ CHAIN_FROZEN = {
         64, 2.121320343559643, 63.0, 0.75, 1.8792224143871572, 1.838930057826216,
         0.8668799426777914, 0.3132037357311928, 0.6091839121779952, 58.393231405563554),
     (1024, 1.2): (
-        1024, 6.788225099390856, 235609370152.0, 1.2, 12.442537498488052,
-        9.879764634612243, 1.4554267853461147, 0.3240244140231264, 2.2904886890683507,
+        1024, 6.788225099390856, 235609376512.0, 1.2, 12.442537498488086,
+        9.879764544647287, 1.455426772093025, 0.3240244140231272, 2.290488679962369,
         176178180360.55862),
     (4096, 1.0): (
-        4096, 8.0, 1768541444386440.0, 1.0, 19.709494973121746, 18.618635396192783,
-        2.327329424524098, 0.3079608589550273, 2.9241629821704294, 1607468795312186.0),
+        4096, 8.0, 1768541292876665.0, 1.0, 19.70949497312179, 18.618635556020628,
+        2.3273294445025785, 0.30796085895502795, 2.9241629907547235, 1607468795312186.0),
     (65536, 0.9): (
-        65536, 14.4, 4.0399997737469345e+46, 0.9, 66.69436258731142, 65.06771302619545,
-        4.518591182374684, 0.28947205984076135, 4.175428466526796, 3.865218403434339e+46),
+        65536, 14.4, 4.040000250082976e+46, 0.9, 66.69436258731177, 65.0677126792832,
+        4.518591158283556, 0.2894720598407629, 4.175428461195239, 3.865218403434339e+46),
 }
 
 
@@ -458,19 +459,19 @@ def test_chain_within_ten_percent_of_exact_at_alpha_one():
         assert 0.9 * rep.exact_quadrature <= rep.chain_value <= rep.exact_quadrature
 
 
-def test_chain_runs_no_golden_search(monkeypatch):
-    searches = []
+def test_chain_evaluates_no_slope(monkeypatch):
+    # the chain reads the exact integral and its own sums at the given s;
+    # only optimize_s solves for a facet count
+    slopes = []
 
-    def spy(search):
-        def counted(*args, **kwargs):
-            searches.append(args[1:3])
-            return search(*args, **kwargs)
-        return counted
+    def spy(*args):
+        slopes.append(args)
+        return slope(*args)
 
-    monkeypatch.setattr(golden, "golden_section_max", spy(golden.golden_section_max))
-    monkeypatch.setattr(radial, "golden_section_max", spy(radial.golden_section_max))
+    slope = radial._slope
+    monkeypatch.setattr(radial, "_slope", spy)
     lower_bound_chain(1024, 1024**0.25, 2000.0)
-    assert searches == []
+    assert slopes == []
 
 
 def first_bracket(n, r):
@@ -483,8 +484,8 @@ def first_bracket(n, r):
 @pytest.mark.parametrize("n", [64, 256, 1024, 4096, 16384, 65536])
 def test_optimize_s_beats_a_48_point_grid_on_its_bracket(n):
     # optimize_s used to take the argmax of 48 equally spaced ln s on its
-    # bracket before golden section; golden section alone on the whole
-    # bracket lands at least as high on the scan box, within 1e-12 relative
+    # bracket before searching; the integer beside the root of dE/d ln s
+    # lands at least as high on the scan box, within 1e-12 relative
     for alpha in (0.75, 1.0, 1.25, 1.5):
         r = alpha * n**0.25
         lo, hi = first_bracket(n, r)
@@ -494,60 +495,108 @@ def test_optimize_s_beats_a_48_point_grid_on_its_bracket(n):
         assert expected_gsa(n, r, float(s_star)) >= best * (1.0 - 1e-12), (n, alpha)
 
 
-def test_optimize_s_runs_one_ladder_for_its_grid(monkeypatch):
-    # no s grid is left: every node ladder optimize_s climbs is one golden
-    # probe's influence integral; the 48-value grid climbed one more
-    probes, ladders = [], []
-    search, ladder = radial.golden_section_max, radial.node_ladder
+def spy_on_slopes_and_ladders(monkeypatch):
+    """Record optimize_s's slope points, the node ladders climbed and the s integrated."""
+    slopes, ladders, integrated = [], [], []
+    slope, ladder = radial._slope, radial.node_ladder
+    influence = radial.expected_influence_quadrature
 
-    def search_spy(f, lo, hi, **kwargs):
-        def probe(x):
-            probes.append(x)
-            return f(x)
-        return search(probe, lo, hi, **kwargs)
+    def slope_spy(n, r, lo, hi, x):
+        slopes.append(x)
+        return slope(n, r, lo, hi, x)
 
     def ladder_spy(evaluate, settled, what):
         ladders.append(what().split(" at ")[0])
         return ladder(evaluate, settled, what)
-
-    monkeypatch.setattr(radial, "golden_section_max", search_spy)
-    monkeypatch.setattr(radial, "node_ladder", ladder_spy)
-    optimize_s(4096, 4096**0.25)
-    assert len(probes) > 30
-    assert ladders == ["influence quadrature (log values)"] * len(probes)
-
-
-def test_scan_integrates_each_facet_count_once(monkeypatch):
-    # the integrals a scan cell runs are the golden probes and then s* for
-    # the chain, each on its own ladder; integrating golden's final midpoint
-    # and s* inside optimize_s added two
-    probes, integrated, ladders = [], [], []
-    search, influence = radial.golden_section_max, radial.expected_influence_quadrature
-    ladder = radial.node_ladder
-
-    def search_spy(f, lo, hi, **kwargs):
-        def probe(x):
-            probes.append(x)
-            return f(x)
-        return search(probe, lo, hi, **kwargs)
 
     def influence_spy(n, r, s, spec=None):
         integrated.append(s)
         return influence(n, r, s, spec)
 
-    def ladder_spy(evaluate, settled, what):
-        ladders.append(what().split(" at ")[0])
-        return ladder(evaluate, settled, what)
-
-    monkeypatch.setattr(radial, "golden_section_max", search_spy)
-    monkeypatch.setattr(radial, "expected_influence_quadrature", influence_spy)
+    monkeypatch.setattr(radial, "_slope", slope_spy)
     monkeypatch.setattr(radial, "node_ladder", ladder_spy)
-    (rep,) = scan_report([4096], [1.0])
-    assert integrated == [math.exp(x) for x in probes] + [rep.s]
-    assert integrated.count(rep.s) == 1
-    # then the chain's three ladders: the mass, then ln F before ln P
-    assert ladders == (["influence quadrature (log values)"] * len(integrated)
+    monkeypatch.setattr(radial, "expected_influence_quadrature", influence_spy)
+    return slopes, ladders, integrated
+
+
+def test_optimize_s_climbs_three_ladders_per_slope(monkeypatch):
+    # each Newton step settles ln A, ln B and ln C on their own ladders; then
+    # E is integrated at the two integers beside e^root, and nothing else
+    slopes, ladders, integrated = spy_on_slopes_and_ladders(monkeypatch)
+    s_star = optimize_s(256, 4.0)
+    assert 3 <= len(slopes) <= 5
+    assert len(set(slopes)) == len(slopes)
+    assert ladders == (["facet-count slope (log values)"] * (3 * len(slopes))
+                       + ["influence quadrature (log values)"] * 2)
+    below, above = integrated
+    assert above == below + 1.0 and s_star in (below, above)
+    assert abs(math.log(s_star) - slopes[-1]) <= 1e-4
+
+
+def test_scan_integrates_the_two_integers_beside_the_root(monkeypatch):
+    # a scan cell integrates E at the two integers beside e^root, then the
+    # chain integrates s_star once more before its three ladders: the mass,
+    # then ln F before ln P
+    slopes, ladders, integrated = spy_on_slopes_and_ladders(monkeypatch)
+    (rep,) = scan_report([256], [1.0])
+    assert integrated == [rep.s, rep.s + 1.0, rep.s] or integrated == [rep.s - 1.0, rep.s, rep.s]
+    assert ladders == (["facet-count slope (log values)"] * (3 * len(slopes))
+                       + ["influence quadrature (log values)"] * 3
                        + ["Jensen mass", "Jensen ln F moment", "Jensen ln P moment"])
+
+
+def test_optimize_s_takes_the_one_integer_past_two_to_the_53(monkeypatch):
+    # at n = 65536, alpha = 0.9 e^root is about 4e46, a double that is an
+    # integer and has no other integer beside it: E is not integrated
+    slopes, ladders, integrated = spy_on_slopes_and_ladders(monkeypatch)
+    s_star = optimize_s(65536, 0.9 * 65536**0.25)
+    assert s_star > 2.0**53 and float(s_star) == s_star
+    assert abs(math.log(s_star) - slopes[-1]) <= 1e-7
+    assert integrated == []
+
+
+# cells with s_star <= 1e4: two CHAIN_FROZEN cells and scan cells with
+# n = 64 ... 256; the relative gap to a neighbour is 9e-7 or more on each
+NEIGHBOUR_CELLS = [(16, 1.0), (64, 0.75), (64, 1.0), (128, 0.75), (256, 0.5)]
+
+
+@pytest.mark.parametrize("n, alpha", NEIGHBOUR_CELLS)
+def test_s_star_beats_both_neighbours_by_an_independent_quadrature(n, alpha):
+    # s_star is the better integer beside the root of dE/d ln s; unimodality
+    # makes it the better of every integer, checked against s_star +- 1 by
+    # scipy's adaptive quadrature, whose error (below 1e-12 relative) is far
+    # under the gaps
+    r = alpha * n**0.25
+    s_star = optimize_s(n, r)
+    assert 1 < s_star <= 1e4
+    best = influence_quad(n, r, float(s_star))
+    for neighbour in (s_star - 1, s_star + 1):
+        assert best >= influence_quad(n, r, float(neighbour)), (n, alpha, neighbour)
+
+
+REFERENCE_CELLS = [(256, 4.0, 1e20), (64, 2.0 * math.sqrt(2.0), 502.0),
+                   (4096, 8.0, 1768541444386440.0)]
+
+
+@pytest.mark.parametrize("cell", REFERENCE_CELLS)
+def test_influence_matches_the_mpmath_reference(cell):
+    assert expected_influence_quadrature(*cell) == pytest.approx(
+        INFLUENCE_REFERENCE[cell], rel=1e-11)
+
+
+@pytest.mark.xfail(raises=QuadratureConvergenceError, strict=True,
+                   reason="ROADMAP item 2: the mass is a sliver just above rho = r "
+                   "that equal panels never resolve")
+@pytest.mark.parametrize("cell", [(16, 2.0, 1e30), (64, 4.0, 1e120)])
+def test_influence_reaches_the_sliver_reference_cells(cell):
+    assert expected_influence_quadrature(*cell) == pytest.approx(
+        INFLUENCE_REFERENCE[cell], rel=1e-11)
+
+
+def test_mpmath_reference_recomputes_live():
+    # 40 and 70 digits, about 1.2 s; the other frozen cells take up to 4.6 s
+    cell = (64, 2.0 * math.sqrt(2.0), 502.0)
+    assert influence_reference(*cell) == pytest.approx(INFLUENCE_REFERENCE[cell], rel=1e-15)
 
 
 def test_facet_counts_past_the_double_range_raise_value_error(monkeypatch):
@@ -558,8 +607,8 @@ def test_facet_counts_past_the_double_range_raise_value_error(monkeypatch):
         lower_bound_chain(1_000_000, 1.2 * 1_000_000**0.25, 1.0)
     with pytest.raises(ValueError, match="ln P underflows.*beyond the double range"):
         lower_bound_chain(10_000_000, 10_000_000**0.25, 1.0)
-    # optimize_s checks its bracket's top before golden section integrates
-    monkeypatch.setattr(radial, "expected_influence_quadrature", None)
+    # optimize_s checks its bracket's top before it evaluates any slope
+    monkeypatch.setattr(radial, "_node_table", None)
     with pytest.raises(ValueError, match=r"ln s = 11\d\d\.\d+ is beyond the double range"):
         optimize_s(1_000_000, 1.5 * 1_000_000**0.25)
 

@@ -1,14 +1,17 @@
-"""Checks on the project itself: the pytest settings, the public API and the
-benchmark's hook targets."""
+"""Checks on the project itself: the pytest settings, the public API, the
+package's imports and the benchmark's hook targets."""
 
 import ast
 import importlib.util
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gsalab
 from gsalab import cli
@@ -78,10 +81,14 @@ def test_every_public_definition_has_a_caller_in_the_package():
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 TRACING = BENCHMARKS / "tracing.py"
 # Hooks on functions the package no longer has: grid_then_golden_min left
-# with the shell chain, and integrate_doubling once the Jensen sums read
-# radial's node tables.  ROADMAP item 1's benchmark change removes both hooks.
+# with the shell chain, integrate_doubling once the Jensen sums read radial's
+# node tables, and golden_section_max, with its module gsalab.golden, once
+# optimize_s solved the first-order condition.  ROADMAP item 1's benchmark
+# change removes these hooks.
 STALE_HOOKS = {("gsalab.radial", "grid_then_golden_min"),
-               ("gsalab.radial", "integrate_doubling")}
+               ("gsalab.radial", "integrate_doubling"),
+               ("gsalab.radial", "golden_section_max"),
+               ("gsalab.golden", "golden_section_max")}
 
 
 def _load(name, path):
@@ -95,11 +102,17 @@ def test_every_benchmark_hook_target_resolves():
     # the benchmark's tracer skips an absent hook target, so a rename in the
     # package would silently drop a per-layer metric; read HOOKS without
     # installing any of them.  An exemption holds only while its hook is in
-    # HOOKS and its target is really gone, so none outlives its reason
+    # HOOKS and its target is really gone, so none outlives its reason; an
+    # exempted hook's module may be gone too, any other must import
     tracing = _load("benchmark_tracing", TRACING)
     missing, revived = [], []
     for _, module_name, path, _ in tracing.HOOKS:
-        owner = importlib.import_module(module_name)
+        try:
+            owner = importlib.import_module(module_name)
+        except ModuleNotFoundError:
+            if (module_name, path) not in STALE_HOOKS:
+                raise
+            owner = None
         for part in path.split("."):
             owner = getattr(owner, part, None)
         if (module_name, path) in STALE_HOOKS:
@@ -110,6 +123,25 @@ def test_every_benchmark_hook_target_resolves():
     assert missing == []
     assert revived == []
     assert STALE_HOOKS <= {(module_name, path) for _, module_name, path, _ in tracing.HOOKS}
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency pyproject declares; scipy and the
+    # other test extras stay out of the package, root solves included
+    tomllib = pytest.importorskip("tomllib")
+    declared = tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
+    assert [re.match(r"[\w-]+", dep).group() for dep in declared] == ["numpy"]
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found.update((path.name, alias.name.split(".")[0]) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((path.name, node.module.split(".")[0]))
+    foreign = sorted((name, top) for name, top in found
+                     if top not in sys.stdlib_module_names and top != "numpy")
+    assert foreign == []
+    assert ("radial.py", "numpy") in found
 
 
 def test_benchmark_oracles_pass_on_the_first_ops_of_each_workload(tmp_path):
