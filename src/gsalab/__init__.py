@@ -7,8 +7,7 @@ the chi_n law.
 """
 
 from .bounds import ball_upper, final_deg2_upper, final_var_upper, nazarov_lower, raic_upper
-from .cap import (CapQuery, cap_complement_upper_G, cap_log_complement, cap_probability,
-                  cap_probability_quadrature)
+from .cap import CapQuery, cap_complement_upper_G, cap_log_complement, cap_probability
 from .estimators import (Estimate, estimate_gsa_facets, estimate_hermite_coefficients,
                          estimate_influence_spectral, estimate_volume,
                          influence_from_hermite_estimates)
@@ -16,6 +15,6 @@ from .polytope import Ball, HalfspacePolytope, NazParams, sample_naz
 from .radial import (ChainViolationError, LowerBoundReport, QuadratureSpec, expected_gsa,
                      expected_influence_quadrature, lower_bound_chain, optimize_s,
                      scan_report)
-from .specfun import chi_log_density, gaussian_pdf, log_gamma, tau_n
+from .specfun import chi_log_density, gaussian_pdf, log_gamma
 
 __version__ = "0.1.0"

@@ -5,11 +5,10 @@ x.v <= r.  Its measure has the exact one-dimensional form
 
     P = tau_n * integral_{-1}^{min(r/||x||, 1)} (1 - z^2)^((n-3)/2) dz,
 
-which this module evaluates two independent ways: through the symmetric
-regularized incomplete beta function (substituting w = z^2), and through
-adaptive Gauss-Legendre quadrature after z = sin(theta) removes the endpoint
-singularity.  The beta route also comes in a fully log-space flavour so that
-complements far below 1e-300 keep nine significant digits in the log.
+which this module evaluates through the symmetric regularized incomplete
+beta function (substituting w = z^2).  The route also comes in a fully
+log-space flavour so that complements far below 1e-300 keep nine
+significant digits in the log.
 """
 
 from __future__ import annotations
@@ -20,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import adaptive_quad
-from .specfun import branchwise, log1mexp, log_gamma, log_tau_n, tau_n
+from .specfun import branchwise, log1mexp, log_gamma, log_tau_n
 
 _BETACF_ITMAX = 2000
 _BETACF_EPS = 1e-15
 _BETACF_BLOCK = 16  # values of m whose numerators one outer product forms
 _FPMIN = 1e-300
 _LOG_MAX = math.log(sys.float_info.max)  # about 709.78: math.exp overflows above this
-_QUADRATURE_ABS_TOL = 1e-13  # cap_probability_quadrature's absolute target
 
 
 @dataclass(frozen=True)
@@ -177,35 +174,13 @@ def cap_probability(q: CapQuery) -> float:
     """Exact cap measure P[x.v <= r] for v uniform on the sphere.
 
     Returns 1 when the cap covers the whole sphere (r >= ||x||, including
-    ||x|| = 0).  The value comes from the incomplete-beta identity; see
-    cap_probability_quadrature for the independent cross-check route.
+    ||x|| = 0).  The value comes from the incomplete-beta identity; the
+    selftest's cap-route-agreement row checks it against the angle form
+    tau_n * integral cos^(n-2) theta on a fixed Gauss-Legendre rule.
     """
     if q.norm_x == 0.0 or q.r >= q.norm_x:
         return 1.0
     return cap_probability_from_ratio(q.n, q.r / q.norm_x)
-
-
-def cap_probability_quadrature(q: CapQuery) -> float:
-    """Cap measure by adaptive Gauss-Legendre in the angle variable.
-
-    Substituting z = sin(theta) turns the integrand into cos(theta)^(n-2),
-    which is bounded and smooth for every n >= 2, so plain adaptive panels
-    reach full accuracy even where the z-form integrand blows up.
-    """
-    if q.norm_x == 0.0 or q.r >= q.norm_x:
-        return 1.0
-    u = q.r / q.norm_x
-    upper = math.asin(min(u, 1.0))
-    n = q.n
-
-    if n == 2:
-        integrand = lambda theta: np.ones_like(theta)
-    else:
-        def integrand(theta):
-            return np.exp((n - 2) * np.log(np.cos(theta)))
-
-    val = adaptive_quad(integrand, -math.pi / 2.0, upper, abs_tol=_QUADRATURE_ABS_TOL)
-    return tau_n(n) * val
 
 
 def cap_log_complement(q: CapQuery) -> float:

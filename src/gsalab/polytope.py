@@ -42,20 +42,6 @@ def _satisfies_all(points: np.ndarray, normals: np.ndarray, offsets: np.ndarray)
     return mask
 
 
-def _contains_one(body, x) -> bool:
-    """Membership test for one finite point of shape (n,).
-
-    A NaN or infinite coordinate raises ValueError instead of reading as
-    outside: in a polytope's product with its normals, inf * 0 is NaN.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (body.n,):
-        raise ValueError(f"point has shape {x.shape}, expected ({body.n},)")
-    if not np.isfinite(x).all():
-        raise ValueError(f"point must be finite, got {x.tolist()}")
-    return bool(body.contains_points(x[None])[0])
-
-
 @dataclass(frozen=True)
 class NazParams:
     """Configuration of the random-polytope distribution.
@@ -117,8 +103,6 @@ class HalfspacePolytope:
     def num_facets(self) -> int:
         return self.normals.shape[0]
 
-    contains = _contains_one
-
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (m, n) array of finite points.
 
@@ -163,9 +147,11 @@ class Ball:
             raise ValueError(
                 f"radius {self.radius} is too large: its square is not a finite double")
 
-    contains = _contains_one
-
     def contains_points(self, points: np.ndarray) -> np.ndarray:
+        """Vectorized membership for an (m, n) array of points.
+
+        As for a polytope, points are not checked for finiteness; here a NaN
+        or infinite coordinate reads as outside."""
         points = np.asarray(points, dtype=float)
         return np.einsum("ij,ij->i", points, points) <= self.radius**2
 

@@ -16,7 +16,7 @@ for its (n, r), the tables the bound's sums read too, and then the better of
 the two integers beside e^root.
 Windows follow from n alone, node counts and every tolerance from quadrature's
 one node-doubling policy; a QuadratureSpec only switches the influence
-integral to the adaptive rule that serves as its independent check.
+integral to the adaptive rule, the route the benchmark's scan oracle takes.
 
 e^(-5/4) is the alpha = 1 limit of the Jensen bound: with
 rho = sqrt(n) + g, g ~ N(0, 1/2), Jensen's inequality gives
@@ -143,7 +143,11 @@ def _node_table(n: int, r: float, lo: float, hi: float, nodes: int) -> _NodeTabl
     window's tables; tables kept for earlier (n, r) would only pin memory.
     """
     x, w = composite_nodes(lo, hi, nodes)
-    base, log_p, log_chi, log_f = _s_free_log_terms(n, r, x, np.log(w))
+    # a panel that rounding collapsed to zero width (r within about 1e-14 of
+    # the window top) has zero weights, whose -inf logs add exactly nothing
+    with np.errstate(divide="ignore"):
+        log_w = np.log(w)
+    base, log_p, log_chi, log_f = _s_free_log_terms(n, r, x, log_w)
     with np.errstate(divide="ignore"):
         log_neg_log_p = np.log(-log_p)
     return _NodeTable(base, log_p, log_neg_log_p, w, np.exp(log_chi), log_f)

@@ -2,7 +2,7 @@
 
 Everything downstream (cap measures, the radial pipeline) leans on these
 primitives, so they are kept exact and log-space friendly.  The Gaussian
-density, gamma and tau_n helpers take one number; log1mexp and
+density, log_gamma and log_tau_n take one number; log1mexp and
 chi_log_density are vectorized and return a float for a scalar argument.
 branchwise is the branch dispatch of log1mexp and of cap's vectorized
 functions: an array that takes one branch skips the masks.  Large
@@ -35,14 +35,9 @@ def log_gamma(a: float) -> float:
     return math.lgamma(a)
 
 
-def tau_n(n: int) -> float:
-    """Normalizing constant Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2)) of the cap integral."""
-    if n < 2:
-        raise ValueError(f"tau_n requires n >= 2, got {n}")
-    return math.exp(log_tau_n(n))
-
-
 def log_tau_n(n: int) -> float:
+    """ln tau_n, with tau_n = Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2)) the
+    normalizing constant of the cap integral."""
     if n < 2:
         raise ValueError(f"tau_n requires n >= 2, got {n}")
     return log_gamma(n / 2.0) - log_gamma((n - 1) / 2.0) - 0.5 * math.log(math.pi)

@@ -14,7 +14,7 @@ from scipy.special import betainc, gammaln
 from gsalab import cap, radial, rng
 from gsalab.estimators import Estimate
 from gsalab.polytope import _satisfies_all
-from gsalab.specfun import chi_log_density, gaussian_pdf
+from gsalab.specfun import chi_log_density, gaussian_pdf, log_tau_n
 
 
 def ball_influence_quadrature(n: int, R: float) -> float:
@@ -33,6 +33,20 @@ def ball_influence_quadrature(n: int, R: float) -> float:
         return math.exp(chi_log_density(n, rho)) * (n - rho**2)
 
     return quad(integrand, 0.0, R, epsabs=0.0, epsrel=1e-12)[0]
+
+
+def cap_probability_angle(n: int, u: float) -> float:
+    """Cap measure P[x.v <= r] at u = r/||x||, in the angle variable.
+
+    tau_n * integral_{-pi/2}^{asin u} cos^(n-2) theta: z = sin(theta) makes
+    the integrand bounded and smooth for every n >= 2.  Integrated by
+    scipy.integrate.quad, off the incomplete-beta route cap_probability takes;
+    u >= 1 integrates over the whole half-turn.
+    """
+    upper = math.asin(min(u, 1.0))
+    integral = quad(lambda theta: math.cos(theta) ** (n - 2), -math.pi / 2.0, upper,
+                    epsabs=1e-14, epsrel=1e-12)[0]
+    return math.exp(log_tau_n(n)) * integral
 
 
 def betacf_reference(a: float, b: float, x: np.ndarray) -> np.ndarray:

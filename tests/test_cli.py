@@ -12,7 +12,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gsalab import cli
@@ -299,12 +299,24 @@ def test_selftest_writes_its_report(tmp_path):
     doc = json.loads(out_json.read_text())
     jsonschema.validate(doc, load_schema())
     assert doc["command"] == "selftest" and doc["seed"] is None
-    assert [row["name"] for row in doc["rows"]] == [name for name, _ in cli._selftest_checks()]
-    assert "chain-dominance" in {row["name"] for row in doc["rows"]}
+    assert [row["name"] for row in doc["rows"]] == [
+        "cap-route-agreement", "cap-closed-forms", "tau-identities", "chi-normalization",
+        "single-halfspace-identity", "h2-bridge-identity", "chain-dominance",
+        "polytope-invariants"]
     assert all(row["value"] == 1.0 and row["seconds"] >= 0.0 for row in doc["rows"])
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "name,value,seconds,schema_version"
     assert len(lines) == 1 + len(doc["rows"])
+
+
+def test_selftest_catches_a_beta_route_off_by_1e_9(tmp_path, monkeypatch):
+    # the fixed-rule angle form is the cap route's independent check
+    exact = cli.cap.cap_probability
+    monkeypatch.setattr(cli.cap, "cap_probability", lambda q: exact(q) + 1e-9)
+    out = tmp_path / "selftest.json"
+    assert run(["selftest", "--json", str(out)]) == 3
+    rows = {row["name"]: row["value"] for row in json.loads(out.read_text())["rows"]}
+    assert rows["cap-route-agreement"] == 0.0
 
 
 def test_selftest_failure_is_recorded(tmp_path, monkeypatch):
@@ -510,6 +522,14 @@ def test_offset_inside_the_radial_window_stays_a_numerical_failure(capsys):
     assert "facet-count optimum not bracketed" in capsys.readouterr().err
 
 
+def test_offset_at_the_window_top_leaves_the_jensen_window_empty(capsys):
+    # within 1e-14 of sqrt(n) + 12 the last panels collapse to zero width;
+    # the log of their zero weights used to warn first (an error under this
+    # suite's warning filter, a traceback under python -W error)
+    assert run(["optimize", "--n", "64", "--r", "19.99999999999999"]) == 1
+    assert "Jensen window empty" in capsys.readouterr().err
+
+
 def test_gaussian_offset_overflow_exits_one_naming_the_offset(tmp_path, capsys):
     # w / ||g_i|| used to overflow to inf with a numpy warning, an error under
     # this suite's warning filter, so a traceback escaped main
@@ -711,6 +731,9 @@ ARGVS = st.one_of(
 
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(argv=ARGVS)
+# r within 1e-14 of the window top sqrt(n) + 12 collapses panels to zero width
+@example(argv=["quad", "--n", "64", "--r", "19.99999999999999", "--s", "2"])
+@example(argv=["optimize", "--n", "64", "--r", "19.99999999999999"])
 def test_every_command_keeps_the_robustness_contract(argv, tmp_path_factory):
     # exit 0 with finite numbers, 1 with an `error:` line, or 2 with a
     # schema-valid record; no exception or warning escapes cli.main

@@ -49,32 +49,48 @@ def test_a_falsified_hypothesis_example_does_not_hide_later_tests(tmp_path):
     assert proc.returncode == 1
 
 
-# Public definitions that only the selftest calls, kept on purpose as the
-# independent second route a headline number is checked against:
-# cap_probability_quadrature integrates the cap measure in the angle variable,
-# where cap_probability reads it off the incomplete beta function.
-SELFTEST_ORACLES = {"cap_probability_quadrature"}
-
-
 def _is_selftest(path, top):
     return path.name == "cli.py" and getattr(top, "name", None) == "_selftest_checks"
 
 
+def _public_definitions(tree):
+    """(label, name, node) of each public module-level def and class, and of
+    each public method, property and class-level alias of a class; dataclass
+    fields are annotated assignments and do not count."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+            yield top.name, top.name, top
+        if isinstance(top, ast.ClassDef):
+            for member in top.body:
+                if isinstance(member, ast.FunctionDef):
+                    names = [member.name]
+                elif isinstance(member, ast.Assign):
+                    names = [t.id for t in member.targets if isinstance(t, ast.Name)]
+                else:
+                    names = []
+                for name in names:
+                    if not name.startswith("_"):
+                        yield f"{top.name}.{name}", name, member
+
+
 def test_every_public_definition_has_a_caller_in_the_package():
-    # a public module-level def or class that only tests call is code the
-    # program does not need; __init__ re-exports do not count as callers,
-    # and neither does the selftest, which would otherwise keep alive any
-    # code it checks
+    # a public def, class, method, property or class-level alias that only
+    # tests call is code the program does not need.  A caller is a read of
+    # its name outside its own definition: an assignment, such as a second
+    # class's alias of the same name, is not one, nor is an __init__
+    # re-export, nor the selftest, which would otherwise keep alive any code
+    # it checks
     trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    uses = [(node.id if isinstance(node, ast.Name) else node.attr, top)
+    uses = [(node, node.id if isinstance(node, ast.Name) else node.attr)
             for path, tree in trees.items() if path.name != "__init__.py"
             for top in tree.body if not _is_selftest(path, top) for node in ast.walk(top)
-            if isinstance(node, (ast.Name, ast.Attribute))]
-    unused = [f"{path.name}::{d.name}"
-              for path, tree in trees.items() for d in tree.body
-              if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_")
-              and d.name not in SELFTEST_ORACLES
-              and not any(name == d.name and top is not d for name, top in uses)]
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+    unused = []
+    for path, tree in trees.items():
+        for label, name, d in _public_definitions(tree):
+            own = {id(node) for node in ast.walk(d)}
+            if not any(used == name and id(node) not in own for node, used in uses):
+                unused.append(f"{path.name}::{label}")
     assert unused == []
 
 
