@@ -23,7 +23,6 @@ from .specfun import branchwise, log1mexp, log_gamma, log_tau_n
 
 _BETACF_ITMAX = 2000
 _BETACF_EPS = 1e-15
-_BETACF_BLOCK = 16  # values of m whose numerators one outer product forms
 _FPMIN = 1e-300
 _LOG_MAX = math.log(sys.float_info.max)  # about 709.78: math.exp overflows above this
 
@@ -57,56 +56,40 @@ def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
     the batch it is in, and a call that merged, split or trimmed batches
     would change the last bits of log P.
 
-    The loop runs in place: d and c share one (2, k) buffer so that the
-    `+ 1`, `abs` and 1e-300 clamp run once for both, and the partial
-    numerators aa = num * x / den come in blocks of m from one outer
-    product, with num and den the Python floats of the textbook recurrence.
-    Every element sees the same operations in the same order as in the
+    The loop runs in place, and d and c share one (2, x.size) buffer so
+    that the `+ 1`, `abs` and 1e-300 clamp run once for both.  Every
+    element sees the same operations in the same order as in the
     allocating loop (`tests/oracles.py::betacf_reference`).
     """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    k = x.size
-    dc = np.empty((2, k))
+    dc = np.empty((2, x.size))
     d, c = dc
     c.fill(1.0)
     d0 = 1.0 - qab * x / qap
     np.divide(1.0, np.where(np.abs(d0) < _FPMIN, _FPMIN, d0), out=d)
     h = d.copy()
-    mag = np.empty_like(dc)
+    aa = np.empty_like(h)
     delta = np.empty_like(h)
-    hit = np.empty(k, dtype=bool)
-    converged = np.zeros(k, dtype=bool)
-    m = 1
-    while m <= _BETACF_ITMAX:
-        block = range(m, min(m + _BETACF_BLOCK, _BETACF_ITMAX + 1))
-        num, den = [], []
-        for j in block:
-            j2 = 2 * j
-            num += [j * (b - j), -(a + j) * (qab + j)]
-            den += [(qam + j2) * (a + j2), (a + j2) * (qap + j2)]
-        aas = np.multiply.outer(num, x)
-        aas /= np.array(den)[:, None]
-        for pair in aas.reshape(len(block), 2, k):
-            for aa in pair:  # the even step of m, then the odd one
-                np.multiply(aa, d, out=d)
-                np.divide(aa, c, out=c)
-                np.add(dc, 1.0, out=dc)
-                np.absolute(dc, out=mag)
-                # fmin skips NaN, so one NaN element cannot hide a needed clamp
-                if np.fmin.reduce(mag, axis=None, initial=np.inf) < _FPMIN:
-                    dc[mag < _FPMIN] = _FPMIN
-                np.divide(1.0, d, out=d)
-                np.multiply(d, c, out=delta)
-                h *= delta
-            np.subtract(delta, 1.0, out=delta)
-            np.absolute(delta, out=delta)
-            np.less(delta, _BETACF_EPS, out=hit)
-            converged |= hit
-            if np.count_nonzero(converged) == k:
-                return h
-        m = block.stop
+    converged = np.zeros(x.size, dtype=bool)
+    for m in range(1, _BETACF_ITMAX + 1):
+        m2 = 2 * m
+        # the even step of m, then the odd one
+        for num, den in ((m * (b - m), (qam + m2) * (a + m2)),
+                         (-(a + m) * (qab + m), (a + m2) * (qap + m2))):
+            np.multiply(x, num, out=aa)
+            aa /= den
+            d *= aa
+            np.divide(aa, c, out=c)
+            dc += 1.0
+            dc[np.abs(dc) < _FPMIN] = _FPMIN
+            np.divide(1.0, d, out=d)
+            np.multiply(d, c, out=delta)
+            h *= delta
+        converged |= np.abs(delta - 1.0) < _BETACF_EPS
+        if converged.all():
+            return h
     raise RuntimeError(
         f"incomplete beta continued fraction stalled at a={a}, b={b}"
     )
@@ -213,14 +196,15 @@ def cap_complement_upper_G(q: CapQuery) -> float:
 
     G = tau_n * ||x|| / (r (n-3)) * exp(-r^2 (n-3) / (2 ||x||^2)); it depends
     on (n, r/||x||) only and dominates the exact complement for n >= 4.
-    A ratio r/||x|| so small that G passes the largest double raises
-    ValueError naming ln G.
+    A ratio r/||x|| so small that G passes the largest double, or that
+    underflows to 0, raises ValueError naming ln G.
     """
     if q.n <= 3:
         raise ValueError(f"complement bound needs n >= 4, got {q.n}")
     if not (0.0 < q.r <= q.norm_x):
         raise ValueError(f"complement bound needs 0 < r <= ||x||, got r={q.r}, ||x||={q.norm_x}")
-    log_g = log_complement_upper_from_ratio(q.n, q.r / q.norm_x)
+    u = q.r / q.norm_x
+    log_g = log_complement_upper_from_ratio(q.n, u) if u > 0.0 else math.inf
     if log_g > _LOG_MAX:
         raise ValueError(
             f"complement bound at (n={q.n}, r={q.r}, ||x||={q.norm_x}): ln G = {log_g:.6g} "

@@ -107,7 +107,7 @@ def _svg_chart(path, reports):
     }
     width, height, pad = 640, 400, 50
     xs = [math.log(n) for n in ns]
-    x_lo, x_hi = min(xs), max(xs) or 1.0
+    x_lo, x_hi = min(xs), max(xs)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     y_lo = 0.0
@@ -186,8 +186,7 @@ def _cmd_influence(args, params):
         _row("influence-hermite-mc", **vars(combined)),
         _row("gaussian-volume-mc", **vars(volume)),
         _row("surface-upper-variance",
-             bounds.final_var_upper(args.n, min(1.0, max(0.0, volume.value)),
-                                    body.inradius())),
+             bounds.final_var_upper(args.n, volume.value, body.inradius())),
         _row("surface-upper-deg2",
              bounds.final_deg2_upper(args.n, [c.value for c in coeffs], body.inradius())),
     ]

@@ -175,6 +175,11 @@ def _log_step_settled(prev: float, val: float, tol: float) -> bool:
     return (prev == val == -math.inf) or abs(val - prev) <= tol
 
 
+def _reject_subnormal(r: float) -> None:
+    if r < sys.float_info.min:
+        raise ValueError(f"offset r = {r} is subnormal: r / rho would lose digits")
+
+
 def expected_influence_quadrature(n: int, r: float, s: float,
                                   spec: QuadratureSpec | None = None) -> float:
     """E[influence] of the random polytope by radial quadrature.
@@ -192,8 +197,7 @@ def expected_influence_quadrature(n: int, r: float, s: float,
         raise ValueError(f"radial reduction needs n >= 4, got {n}")
     if not r > 0.0:
         raise ValueError(f"offset r must be > 0, got {r}")
-    if r < sys.float_info.min:
-        raise ValueError(f"offset r = {r} is subnormal: r / rho would lose digits")
+    _reject_subnormal(r)
     if not 1.0 <= s < math.inf:
         raise ValueError(f"facet count must be finite and >= 1, got {s}")
     if spec is None:
@@ -323,13 +327,15 @@ def optimize_s(n: int, r: float) -> int:
     ln s = 0 makes s_star 1.  Every slope and E sums over the default
     window's node tables, built once per (n, r) and served from cache.  A
     bracket reaching ln s past the double range (about 709.78) raises
-    ValueError before any evaluation, and so does a non-finite r or an r at
-    or past the window top sqrt(n) + 12, where E[GSA] is 0.0 for every s.
+    ValueError before any evaluation, and so does a non-finite or subnormal
+    r or an r at or past the window top sqrt(n) + 12, where E[GSA] is 0.0
+    for every s.
     """
     if n < 7:
         raise ValueError(f"optimize_s needs n >= 7, got {n}")
     if not 0.0 < r < math.inf:
         raise ValueError(f"offset r must be finite and > 0, got {r}")
+    _reject_subnormal(r)  # before r / sqrt(n) below can underflow to 0
     spec = QuadratureSpec.for_dimension(n)
     if not r < spec.rho_hi:
         raise ValueError(f"offset r = {r} is at or past the radial window top "

@@ -288,6 +288,17 @@ def test_cap_bound_past_the_double_range_exits_one_naming_ln_g(norm, r, tmp_path
     assert not out.exists()
 
 
+def test_a_ratio_that_underflows_to_zero_names_the_real_cause(capsys):
+    # r / ||x|| and r / sqrt(n) underflow to 0 here, which both commands
+    # used to report as 'ratio u must be > 0' although r > 0
+    assert run(["cap", "--n", "5", "--norm", "1e300", "--r", "1e-300"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: complement bound at ") and "ln G = inf is beyond" in err
+    assert run(["optimize", "--n", "64", "--r", "5e-324"]) == 1
+    assert capsys.readouterr().err == (
+        "error: offset r = 5e-324 is subnormal: r / rho would lose digits\n")
+
+
 def test_selftest_passes():
     assert run(["selftest"]) == 0
 

@@ -73,6 +73,19 @@ def _public_definitions(tree):
                         yield f"{top.name}.{name}", name, member
 
 
+def _package_trees():
+    return {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _package_reads(trees):
+    """(node, name) of each read of a name or attribute in the package,
+    outside the __init__ re-exports and the selftest."""
+    return [(node, node.id if isinstance(node, ast.Name) else node.attr)
+            for path, tree in trees.items() if path.name != "__init__.py"
+            for top in tree.body if not _is_selftest(path, top) for node in ast.walk(top)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+
+
 def test_every_public_definition_has_a_caller_in_the_package():
     # a public def, class, method, property or class-level alias that only
     # tests call is code the program does not need.  A caller is a read of
@@ -80,11 +93,8 @@ def test_every_public_definition_has_a_caller_in_the_package():
     # class's alias of the same name, is not one, nor is an __init__
     # re-export, nor the selftest, which would otherwise keep alive any code
     # it checks
-    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    uses = [(node, node.id if isinstance(node, ast.Name) else node.attr)
-            for path, tree in trees.items() if path.name != "__init__.py"
-            for top in tree.body if not _is_selftest(path, top) for node in ast.walk(top)
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+    trees = _package_trees()
+    uses = _package_reads(trees)
     unused = []
     for path, tree in trees.items():
         for label, name, d in _public_definitions(tree):
@@ -92,6 +102,25 @@ def test_every_public_definition_has_a_caller_in_the_package():
             if not any(used == name and id(node) not in own for node, used in uses):
                 unused.append(f"{path.name}::{label}")
     assert unused == []
+
+
+def test_every_module_constant_is_read_in_the_package():
+    # an UPPER_CASE module constant that nothing reads is a knob left behind
+    # by the code that used it; its own assignment is not a read
+    trees = _package_trees()
+    uses = _package_reads(trees)
+    unread = []
+    for path, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, (ast.Assign, ast.AnnAssign)):
+                own = {id(node) for node in ast.walk(top)}
+                for node in ast.walk(top):
+                    if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                            and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", node.id)
+                            and not any(used == node.id and id(read) not in own
+                                        for read, used in uses)):
+                        unread.append(f"{path.name}::{node.id}")
+    assert unread == []
 
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
