@@ -9,6 +9,7 @@ downstream tests gate at four standard errors.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,10 @@ from . import rng
 from .hermite import SQRT2, h2
 from .polytope import HalfspacePolytope, _satisfies_all
 from .specfun import gaussian_pdf
+
+# Rows a helper-thread handoff in estimate_gsa_facets draws at least: one
+# handoff per block made 5000 facets of 2 samples 24% slower (one BLAS thread).
+_HANDOFF_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -129,28 +134,54 @@ def estimate_gsa_facets(K: HalfspacePolytope, samples_per_facet: int, seed: int)
     offset lifted to +inf in one working copy of the offsets while facet i
     runs, so its own in-hyperplane points pass it whatever their rounding.
 
+    One helper thread draws the next handoff of blocks (about _HANDOFF_ROWS
+    rows, at least one block) while this thread projects and tests the
+    handoff it has.  Streams, keys and block order are unchanged, and hits
+    are integer counts per facet summed in facet order, so the estimate
+    keeps its bits whatever the handoff size.
+
     Memory: each drawn block (at most rng.CHUNK rows) becomes its
     in-hyperplane points in place and is tested in row tiles of at most
-    polytope._TILE products.  Beyond one working copy of the s offsets, the
-    transient is O(_TILE), independent of the number of points and facets.
+    polytope._TILE products; one further handoff is in flight on the
+    helper.  Beyond one working copy of the s offsets, the transient is
+    O(rng.CHUNK * n + _TILE), independent of the number of points and
+    facets.  Only Philox and standard_normal run on the helper, and numpy
+    releases the GIL for both; every BLAS call stays on this thread, since
+    two threads that each call a threaded BLAS ran slower than one.
     """
     if samples_per_facet < 2:
         raise ValueError("samples_per_facet must be >= 2")
+    # imported here: concurrent.futures pulls in logging, which every CLI
+    # start would otherwise pay for
+    from concurrent.futures import ThreadPoolExecutor
+
     normals = K.normals
     offsets = K.offsets
     lifted = offsets.copy()
+    blocks = ((i, g) for i in range(K.num_facets)
+              for g in rng.gaussian_chunks(K.n, samples_per_facet, seed, rng.DOMAIN_BOUNDARY, i))
+    per_handoff = -(-_HANDOFF_ROWS // min(samples_per_facet, rng.CHUNK))
+    hits = [0] * K.num_facets
+
+    def draw():
+        return list(itertools.islice(blocks, per_handoff))
+
+    with ThreadPoolExecutor(1) as helper:
+        ahead = helper.submit(draw)
+        while handoff := ahead.result():
+            ahead = helper.submit(draw)
+            for i, g in handoff:
+                v = normals[i]
+                g -= np.outer(g @ v, v)
+                g += offsets[i] * v
+                lifted[i] = np.inf
+                hits[i] += int(_satisfies_all(g, normals, lifted).sum())
+                lifted[i] = offsets[i]
+            del g  # drop the last block: one handoff is held while the next is drawn
     value = 0.0
     variance = 0.0
     for i in range(K.num_facets):
-        v = normals[i]
-        lifted[i] = np.inf
-        hits = 0
-        for g in rng.gaussian_chunks(K.n, samples_per_facet, seed, rng.DOMAIN_BOUNDARY, i):
-            g -= np.outer(g @ v, v)
-            g += offsets[i] * v
-            hits += int(_satisfies_all(g, normals, lifted).sum())
-        lifted[i] = offsets[i]
-        p_hat = hits / samples_per_facet
+        p_hat = hits[i] / samples_per_facet
         density = gaussian_pdf(offsets[i])
         value += density * p_hat
         sample_var = p_hat * (1.0 - p_hat) * samples_per_facet / (samples_per_facet - 1)

@@ -21,9 +21,9 @@ UNIT_SPHERE = "unit-sphere-normals"
 GAUSSIAN = "gaussian-normals"
 
 _UNIT_TOL = 1e-12
-# Point-facet products held at once by a membership test (2 MiB of float64);
+# Point-facet products held at once by a membership test (1 MiB of float64);
 # a test's transient memory is O(_TILE) whatever its sizes.
-_TILE = 1 << 18
+_TILE = 1 << 17
 
 
 def _satisfies_all(points: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -10,6 +10,10 @@ path tuple: block c of the stream at path p is drawn from the key
 (seed, *p, c).  The shared volume/influence point stream uses the path
 (DOMAIN_POINTS,); the in-hyperplane stream of facet i uses
 (DOMAIN_BOUNDARY, i).
+
+A chunk generator may be handed between threads, as estimate_gsa_facets
+hands its draws to a helper thread, but only one thread resumes it at a
+time: a generator resumed while it runs raises ValueError.
 """
 
 from __future__ import annotations

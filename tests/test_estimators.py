@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,8 +210,8 @@ def test_gsa_facets_frozen_regression():
 
 
 def test_gsa_facets_frozen_regression_across_row_tiles():
-    # captured before membership ran in row tiles: 299 other facets make
-    # each 1500-row block span two tiles of 876 rows
+    # captured before membership ran in row tiles; the 300 stored facets now
+    # make each 1500-row block span four tiles of 436 rows
     K = polytope.sample_naz(NazParams(n=8, offset=1.4, s=300), seed=31)
     assert polytope._TILE // (K.num_facets - 1) < 1500
     est = estimate_gsa_facets(K, 1500, seed=37)
@@ -219,7 +222,7 @@ def test_gsa_facets_frozen_regression_across_row_tiles():
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(2, 6), s=st.integers(1, 300), spf=st.integers(2, 1200),
        offset=st.floats(0.2, 3.0), gaussian=st.booleans(), seed=st.integers(0, 2**32 - 1))
-@example(n=3, s=300, spf=1200, offset=1.0, gaussian=False, seed=5)  # 873-row tiles
+@example(n=3, s=300, spf=1200, offset=1.0, gaussian=False, seed=5)  # 436-row tiles
 @example(n=2, s=1, spf=2, offset=0.5, gaussian=True, seed=0)
 def test_gsa_facets_is_bit_for_bit_the_copying_loop(n, s, spf, offset, gaussian, seed):
     # testing against all s facets with facet i lifted to +inf must count
@@ -244,9 +247,106 @@ def test_gsa_facets_tests_the_polytope_as_stored(monkeypatch):
     assert len(seen) == 2 * K.num_facets and all(seen)
 
 
+GSA_BODIES = {
+    "one facet": (NazParams(n=4, offset=1.0, s=1), 700),
+    "two blocks per facet": (NazParams(n=5, offset=1.2, s=7), rng.CHUNK + 904),
+    "blocks over two tiles": (NazParams(n=8, offset=1.4, s=100), 2000),
+}
+
+
+@pytest.mark.parametrize("handoff", ["one block", "default", "whole pass"])
+@pytest.mark.parametrize("body", GSA_BODIES)
+def test_gsa_facets_bits_do_not_depend_on_the_handoff(monkeypatch, body, handoff):
+    params, spf = GSA_BODIES[body]
+    K = polytope.sample_naz(params, seed=19)
+    if body == "blocks over two tiles":
+        rows = polytope._TILE // K.num_facets
+        assert rows < spf <= 2 * rows
+    if handoff == "one block":
+        monkeypatch.setattr(estimators, "_HANDOFF_ROWS", 1)
+    elif handoff == "whole pass":
+        monkeypatch.setattr(estimators, "_HANDOFF_ROWS", K.num_facets * spf)
+    assert estimate_gsa_facets(K, spf, seed=29) == facet_pass_reference(K, spf, seed=29)
+
+
+@pytest.mark.parametrize("where", ["draw", "membership"])
+def test_gsa_facets_failures_surface_and_leave_no_thread(monkeypatch, where):
+    K = polytope.sample_naz(NazParams(n=5, offset=1.2, s=7), seed=17)
+    caller = threading.get_ident()
+    tested_on = set()
+    if where == "draw":
+        real_stream = rng.stream
+
+        def stream(seed, *path):
+            if path[:2] == (rng.DOMAIN_BOUNDARY, 3):
+                raise RuntimeError("draw failed on facet 3")
+            return real_stream(seed, *path)
+
+        monkeypatch.setattr(rng, "stream", stream)
+        real_membership = estimators._satisfies_all
+
+        def membership(points, normals, offsets):
+            tested_on.add(threading.get_ident())
+            return real_membership(points, normals, offsets)
+    else:
+        def membership(points, normals, offsets):
+            tested_on.add(threading.get_ident())
+            raise RuntimeError("membership failed")
+
+    monkeypatch.setattr(estimators, "_satisfies_all", membership)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw failed on facet 3|membership failed"):
+        estimate_gsa_facets(K, 5000, seed=23)
+    assert threading.active_count() == threads
+    # every BLAS call, membership included, runs on the calling thread
+    assert tested_on == {caller}
+
+
+def test_gsa_facets_keep_their_bits_under_concurrent_callers():
+    # more callers than cores, each with its own draw helper, trading the
+    # interpreter every 10 us; 100 samples per facet put 3 blocks in a handoff
+    K = polytope.sample_naz(NazParams(n=5, offset=1.2, s=7), seed=17)
+    expected = [facet_pass_reference(K, 100, seed) for seed in range(4)]
+    got = [None] * len(expected)
+
+    def call(seed):
+        got[seed] = estimate_gsa_facets(K, 100, seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(seed,)) for seed in range(len(got))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert got == expected
+
+
+def test_gsa_facets_hold_one_block_in_flight():
+    # n = 64 and 2 * CHUNK samples per facet draw only full 4096 x 64 blocks
+    # (2 MiB each).  The block under test, its projection's outer product and
+    # the one block drawn ahead peak at about 6.5 MB; a second block drawn
+    # ahead read 7.6 to 8.6 MB.  Blocks wait ahead only where membership is
+    # slower than the draws: at 100 facets, not at 40.
+    K = polytope.sample_naz(NazParams(n=64, offset=2.8, s=100), seed=5)
+    assert polytope._TILE // K.num_facets < rng.CHUNK
+    estimate_gsa_facets(K, 2, seed=7)  # the helper's first-call import is not a block
+    tracemalloc.start()
+    try:
+        estimate_gsa_facets(K, 2 * rng.CHUNK, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7e6
+
+
 def test_influence_and_volume_frozen_regression_across_row_tiles():
     # captured before membership ran in row tiles: 200 facets split the
-    # 4096-row chunk into tiles of 1310 rows and the 1904-row tail into two
+    # 4096-row chunk into tiles of 655 rows and the 1904-row tail into three
     K = polytope.sample_naz(NazParams(n=16, offset=2.0, s=200), seed=41)
     assert polytope._TILE // K.num_facets < 1904
     influence = estimate_influence_spectral(K, 6000, seed=43)

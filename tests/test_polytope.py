@@ -212,7 +212,7 @@ def test_membership_peak_memory_is_one_tile():
     finally:
         tracemalloc.stop()
     assert inside.shape == (4096,)
-    # one tile of 2^18 float64 products and their bool copy, plus the result,
-    # is about 2.4 MB; the whole 4096 x 5000 product and its copy used to
+    # one tile of 2^17 float64 products and their bool copy, plus the result,
+    # is about 1.2 MB; the whole 4096 x 5000 product and its copy used to
     # peak at about 184 MB
     assert peak < 8e6

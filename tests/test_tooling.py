@@ -189,6 +189,20 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
     assert ("radial.py", "numpy") in found
 
 
+def test_importing_the_cli_leaves_out_concurrent_futures_and_logging():
+    # the benchmark's setup_s times `import gsalab.cli`; concurrent.futures
+    # pulls in logging (3.4 ms of an 85 ms import, by -X importtime), so
+    # estimate_gsa_facets imports it only when it starts its draw helper
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, gsalab.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_benchmark_oracles_pass_on_the_first_ops_of_each_workload(tmp_path):
     # the benchmark checks every op's report against an oracle that calls the
     # package (the scan oracle integrates by the adaptive rule); a change that
