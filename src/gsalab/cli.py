@@ -8,7 +8,8 @@ the double range (ArithmeticError), 2 numerical non-convergence, 3 invariant
 violation found by selftest.  On exit code 2 the JSON document has no rows
 and an `error` object instead, and the same params a success records.
 Every JSON document is strict: a non-finite number is written as null, and
-in CSV as an empty cell.
+in CSV as an empty cell.  The Monte Carlo commands (`influence`, `gsa`) run
+fastest with OPENBLAS_NUM_THREADS=1 in the environment.
 """
 
 from __future__ import annotations

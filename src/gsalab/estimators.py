@@ -9,8 +9,8 @@ downstream tests gate at four standard errors.
 
 from __future__ import annotations
 
-import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +19,6 @@ from . import rng
 from .hermite import SQRT2, h2
 from .polytope import HalfspacePolytope, _satisfies_all
 from .specfun import gaussian_pdf
-
-# Rows a helper-thread handoff in estimate_gsa_facets draws at least: one
-# handoff per block made 5000 facets of 2 samples 24% slower (one BLAS thread).
-_HANDOFF_ROWS = 256
-
 
 @dataclass(frozen=True)
 class Estimate:
@@ -115,6 +110,12 @@ def influence_from_hermite_estimates(coeffs) -> Estimate:
     return Estimate(value=value, stderr=stderr, samples=coeffs[0].samples, seed=coeffs[0].seed)
 
 
+def _claim(facets, lock):
+    """Next index of a facet iterator shared by threads, or None once spent."""
+    with lock:
+        return next(facets, None)
+
+
 def estimate_gsa_facets(K: HalfspacePolytope, samples_per_facet: int, seed: int) -> Estimate:
     """Gaussian surface area of a halfspace intersection, facet by facet.
 
@@ -130,54 +131,52 @@ def estimate_gsa_facets(K: HalfspacePolytope, samples_per_facet: int, seed: int)
     so block c is keyed (seed, DOMAIN_BOUNDARY, i, c) and each facet's hit
     count is a stable prefix of any longer run with the same seed.
 
-    Every block is tested against all s facets as stored, with facet i's
-    offset lifted to +inf in one working copy of the offsets while facet i
-    runs, so its own in-hyperplane points pass it whatever their rounding.
+    Every block is tested against all s facets as stored, facet i's offset
+    lifted to +inf in its worker's copy of the offsets, so its own
+    in-hyperplane points pass it whatever their rounding.
 
-    One helper thread draws the next handoff of blocks (about _HANDOFF_ROWS
-    rows, at least one block) while this thread projects and tests the
-    handoff it has.  Streams, keys and block order are unchanged, and hits
-    are integer counts per facet summed in facet order, so the estimate
-    keeps its bits whatever the handoff size.
+    Two symmetric workers, this thread and one helper, each claim the next
+    facet from one shared iterator and draw, project and test all its
+    blocks.  Streams, keys and blocks per facet are those of a serial pass
+    and the integer hit counts are summed in facet order, so the estimate
+    keeps its bits whichever worker ran which facet.  After a failure in
+    either worker the other claims no new facet, and the first error is
+    raised once both have stopped.
 
-    Memory: each drawn block (at most rng.CHUNK rows) becomes its
-    in-hyperplane points in place and is tested in row tiles of at most
-    polytope._TILE products; one further handoff is in flight on the
-    helper.  Beyond one working copy of the s offsets, the transient is
-    O(rng.CHUNK * n + _TILE), independent of the number of points and
-    facets.  Only Philox and standard_normal run on the helper, and numpy
-    releases the GIL for both; every BLAS call stays on this thread, since
-    two threads that each call a threaded BLAS ran slower than one.
+    Memory: each worker holds one block (at most rng.CHUNK rows), projects
+    it in place and tests it in row tiles of at most polytope._TILE
+    products: beyond a copy of the s offsets, O(rng.CHUNK * n + _TILE) per
+    worker, whatever the numbers of points and facets.
     """
     if samples_per_facet < 2:
         raise ValueError("samples_per_facet must be >= 2")
-    # imported here: concurrent.futures pulls in logging, which every CLI
-    # start would otherwise pay for
-    from concurrent.futures import ThreadPoolExecutor
-
     normals = K.normals
     offsets = K.offsets
-    lifted = offsets.copy()
-    blocks = ((i, g) for i in range(K.num_facets)
-              for g in rng.gaussian_chunks(K.n, samples_per_facet, seed, rng.DOMAIN_BOUNDARY, i))
-    per_handoff = -(-_HANDOFF_ROWS // min(samples_per_facet, rng.CHUNK))
     hits = [0] * K.num_facets
+    errors = []
+    facets = (i for i in range(K.num_facets) if not errors)
+    lock = threading.Lock()
 
-    def draw():
-        return list(itertools.islice(blocks, per_handoff))
-
-    with ThreadPoolExecutor(1) as helper:
-        ahead = helper.submit(draw)
-        while handoff := ahead.result():
-            ahead = helper.submit(draw)
-            for i, g in handoff:
+    def work():
+        lifted = offsets.copy()
+        try:
+            while (i := _claim(facets, lock)) is not None:
                 v = normals[i]
-                g -= np.outer(g @ v, v)
-                g += offsets[i] * v
                 lifted[i] = np.inf
-                hits[i] += int(_satisfies_all(g, normals, lifted).sum())
+                for g in rng.gaussian_chunks(K.n, samples_per_facet, seed, rng.DOMAIN_BOUNDARY, i):
+                    g -= np.outer(g @ v, v)
+                    g += offsets[i] * v
+                    hits[i] += int(_satisfies_all(g, normals, lifted).sum())
                 lifted[i] = offsets[i]
-            del g  # drop the last block: one handoff is held while the next is drawn
+        except BaseException as exc:
+            errors.append(exc)
+
+    helper = threading.Thread(target=work)
+    helper.start()
+    work()
+    helper.join()
+    if errors:
+        raise errors[0]
     value = 0.0
     variance = 0.0
     for i in range(K.num_facets):

@@ -22,7 +22,8 @@ GAUSSIAN = "gaussian-normals"
 
 _UNIT_TOL = 1e-12
 # Point-facet products held at once by a membership test (1 MiB of float64);
-# a test's transient memory is O(_TILE) whatever its sizes.
+# a test's transient memory is O(_TILE) whatever its sizes.  The two workers
+# of estimate_gsa_facets each hold one tile, 2 MiB together.
 _TILE = 1 << 17
 
 

@@ -11,9 +11,9 @@ path tuple: block c of the stream at path p is drawn from the key
 (DOMAIN_POINTS,); the in-hyperplane stream of facet i uses
 (DOMAIN_BOUNDARY, i).
 
-A chunk generator may be handed between threads, as estimate_gsa_facets
-hands its draws to a helper thread, but only one thread resumes it at a
-time: a generator resumed while it runs raises ValueError.
+A chunk generator is not shared between threads: estimate_gsa_facets
+makes each facet's generator on the worker thread that claimed the facet,
+and that worker alone resumes it.
 """
 
 from __future__ import annotations

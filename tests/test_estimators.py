@@ -254,57 +254,113 @@ GSA_BODIES = {
 }
 
 
-@pytest.mark.parametrize("handoff", ["one block", "default", "whole pass"])
+def scheduled_claim(schedule, caller):
+    """A stand-in for estimators._claim that hands the facets out by schedule.
+
+    "caller only" and "helper only" keep the other worker from claiming any
+    facet; "alternating" makes the calling thread and the helper take turns,
+    caller first.  Returns the claim and its record of (on caller, facet).
+    """
+    real_claim = estimators._claim
+    turn = threading.Condition()
+    claims = []
+
+    def claim(facets, lock):
+        on_caller = threading.get_ident() == caller
+        with turn:
+            if schedule == "alternating":
+                assert turn.wait_for(lambda: len(claims) % 2 != on_caller, timeout=60)
+            elif on_caller != (schedule == "caller only"):
+                return None
+            i = real_claim(facets, lock)
+            claims.append((on_caller, i))
+            turn.notify_all()
+            return i
+
+    return claim, claims
+
+
+@pytest.mark.parametrize("schedule", ["caller only", "helper only", "alternating"])
 @pytest.mark.parametrize("body", GSA_BODIES)
-def test_gsa_facets_bits_do_not_depend_on_the_handoff(monkeypatch, body, handoff):
+def test_gsa_facets_bits_do_not_depend_on_the_schedule(monkeypatch, body, schedule):
     params, spf = GSA_BODIES[body]
     K = polytope.sample_naz(params, seed=19)
     if body == "blocks over two tiles":
         rows = polytope._TILE // K.num_facets
         assert rows < spf <= 2 * rows
-    if handoff == "one block":
-        monkeypatch.setattr(estimators, "_HANDOFF_ROWS", 1)
-    elif handoff == "whole pass":
-        monkeypatch.setattr(estimators, "_HANDOFF_ROWS", K.num_facets * spf)
+    claim, claims = scheduled_claim(schedule, threading.get_ident())
+    monkeypatch.setattr(estimators, "_claim", claim)
     assert estimate_gsa_facets(K, spf, seed=29) == facet_pass_reference(K, spf, seed=29)
+    on_caller = [i % 2 == 0 if schedule == "alternating" else schedule == "caller only"
+                 for i in range(K.num_facets)]
+    assert [claimed for claimed in claims if claimed[1] is not None] == list(
+        zip(on_caller, range(K.num_facets)))
 
 
 @pytest.mark.parametrize("where", ["draw", "membership"])
 def test_gsa_facets_failures_surface_and_leave_no_thread(monkeypatch, where):
-    K = polytope.sample_naz(NazParams(n=5, offset=1.2, s=7), seed=17)
+    # the failing worker claims no further facet and the other finishes at
+    # most the one it holds, whichever of the two fails
+    K = polytope.sample_naz(NazParams(n=5, offset=1.2, s=40), seed=17)
     caller = threading.get_ident()
-    tested_on = set()
-    if where == "draw":
-        real_stream = rng.stream
+    real_claim = estimators._claim
+    real_stream = rng.stream
+    real_membership = estimators._satisfies_all
+    for failing in ("caller", "helper"):
+        events = []
+
+        def fail_here():
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                events.append(("failed", threading.get_ident()))
+                raise RuntimeError(f"{where} failed")
+
+        def claim(facets, lock):
+            i = real_claim(facets, lock)
+            if i is not None:
+                events.append(("claimed", threading.get_ident()))
+            return i
 
         def stream(seed, *path):
-            if path[:2] == (rng.DOMAIN_BOUNDARY, 3):
-                raise RuntimeError("draw failed on facet 3")
+            if path[0] == rng.DOMAIN_BOUNDARY and where == "draw":
+                fail_here()
             return real_stream(seed, *path)
 
-        monkeypatch.setattr(rng, "stream", stream)
-        real_membership = estimators._satisfies_all
-
         def membership(points, normals, offsets):
-            tested_on.add(threading.get_ident())
+            if where == "membership":
+                fail_here()
             return real_membership(points, normals, offsets)
-    else:
-        def membership(points, normals, offsets):
-            tested_on.add(threading.get_ident())
-            raise RuntimeError("membership failed")
+
+        monkeypatch.setattr(estimators, "_claim", claim)
+        monkeypatch.setattr(rng, "stream", stream)
+        monkeypatch.setattr(estimators, "_satisfies_all", membership)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{where} failed"):
+            estimate_gsa_facets(K, 5000, seed=23)
+        assert threading.active_count() == threads
+        failed = next(k for k, (event, _) in enumerate(events) if event == "failed")
+        later = [worker for event, worker in events[failed:] if event == "claimed"]
+        assert all(later.count(worker) <= 1 for worker in later), (failing, events)
+
+
+def test_gsa_facets_start_at_most_one_thread_beyond_the_caller(monkeypatch):
+    K = polytope.sample_naz(NazParams(n=5, offset=1.2, s=40), seed=17)
+    threads = threading.active_count()
+    seen = []
+    real = estimators._satisfies_all
+
+    def membership(points, normals, offsets):
+        seen.append(threading.active_count())
+        return real(points, normals, offsets)
 
     monkeypatch.setattr(estimators, "_satisfies_all", membership)
-    threads = threading.active_count()
-    with pytest.raises(RuntimeError, match="draw failed on facet 3|membership failed"):
-        estimate_gsa_facets(K, 5000, seed=23)
+    estimate_gsa_facets(K, 5000, seed=23)
+    assert max(seen) <= threads + 1
     assert threading.active_count() == threads
-    # every BLAS call, membership included, runs on the calling thread
-    assert tested_on == {caller}
 
 
 def test_gsa_facets_keep_their_bits_under_concurrent_callers():
-    # more callers than cores, each with its own draw helper, trading the
-    # interpreter every 10 us; 100 samples per facet put 3 blocks in a handoff
+    # more callers than cores, each with its own helper worker, trading the
+    # interpreter every 10 us
     K = polytope.sample_naz(NazParams(n=5, offset=1.2, s=7), seed=17)
     expected = [facet_pass_reference(K, 100, seed) for seed in range(4)]
     got = [None] * len(expected)
@@ -328,20 +384,22 @@ def test_gsa_facets_keep_their_bits_under_concurrent_callers():
 
 def test_gsa_facets_hold_one_block_in_flight():
     # n = 64 and 2 * CHUNK samples per facet draw only full 4096 x 64 blocks
-    # (2 MiB each).  The block under test, its projection's outer product and
-    # the one block drawn ahead peak at about 6.5 MB; a second block drawn
-    # ahead read 7.6 to 8.6 MB.  Blocks wait ahead only where membership is
-    # slower than the draws: at 100 facets, not at 40.
+    # (2 MiB each).  Each of the two workers holds at most its block, the
+    # block's projection np.outer(g @ v, v) and one membership tile of float64
+    # products with its bool comparison: about 10.7 MB for both.  This code
+    # peaks at about 8.7 MB; a worker drawing a whole facet's two blocks
+    # before testing them read 12.9 MB.
     K = polytope.sample_naz(NazParams(n=64, offset=2.8, s=100), seed=5)
+    block = rng.CHUNK * K.n * 8
+    tile = polytope._TILE // K.num_facets * K.num_facets * 9
     assert polytope._TILE // K.num_facets < rng.CHUNK
-    estimate_gsa_facets(K, 2, seed=7)  # the helper's first-call import is not a block
     tracemalloc.start()
     try:
         estimate_gsa_facets(K, 2 * rng.CHUNK, seed=7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7e6
+    assert peak < 2 * (2 * block + tile)
 
 
 def test_influence_and_volume_frozen_regression_across_row_tiles():
